@@ -64,23 +64,7 @@ var (
 	metricsAddr  = flag.String("metrics-addr", "", "-serve: also serve GET /metrics (Prometheus text format) and /debug/pprof/* on this address (e.g. 127.0.0.1:9090); empty = disabled")
 	stateDir     = flag.String("state-dir", "", "-serve: persist fleet state (cases, accepted traces, published reports) to a write-ahead log in this directory and recover it on restart; empty = in-memory only")
 	syncPolicy   = flag.String("sync", "interval", "-serve: when the state log is fsynced: always, interval or never")
-	wireFlag     = flag.String("wire", "", "client/agent/router-upstream codec: binary (default) or gob (deprecated legacy oracle); empty = $SNORLAX_WIRE or binary. Servers and routers auto-negotiate both.")
 )
-
-// wireVersion resolves the -wire flag (falling back to SNORLAX_WIRE)
-// for every client-side connection this binary opens; servers need no
-// knob, they negotiate per connection off the preamble.
-func wireVersion() proto.WireVersion {
-	if *wireFlag == "" {
-		return proto.WireFromEnv()
-	}
-	v, err := proto.ParseWireVersion(*wireFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	return v
-}
 
 func main() {
 	flag.Parse()
@@ -285,7 +269,7 @@ func remoteDiagnose(addr string, b *corpus.Bug) bool {
 	failInst := b.Build(corpus.Variant{Failing: true})
 	okInst := b.Build(corpus.Variant{Failing: false})
 
-	conn := proto.DialRetrying("tcp", addr, proto.RetryConfig{MaxAttempts: *retries, Wire: wireVersion()})
+	conn := proto.DialRetrying("tcp", addr, proto.RetryConfig{MaxAttempts: *retries})
 	defer conn.Close()
 
 	failClient := core.NewClient(failInst.Mod)
@@ -357,7 +341,6 @@ func fleetAgents(addr string, b *corpus.Bug, n int) bool {
 		fleet.Config{
 			Dial:    func() (net.Conn, error) { return net.Dial("tcp", addr) },
 			Clients: n,
-			Wire:    wireVersion(),
 		})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

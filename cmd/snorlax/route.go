@@ -95,7 +95,7 @@ func runRouter(addr string) {
 	}
 	r, err := shard.NewRouter(shard.RouterConfig{
 		Members:     members,
-		Retry:       proto.RetryConfig{MaxAttempts: *retries, Wire: wireVersion()},
+		Retry:       proto.RetryConfig{MaxAttempts: *retries},
 		IdleTimeout: *idleTimeout,
 	})
 	if err != nil {
@@ -251,7 +251,6 @@ func runLoadgen(addr string) bool {
 		Concurrency: *loadConc,
 		MaxAttempts: *retries,
 		Stagger:     *loadWave,
-		Wire:        wireVersion(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

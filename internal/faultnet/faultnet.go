@@ -282,8 +282,8 @@ func (c *conn) Write(p []byte) (int, error) {
 			q[pos] ^= 0xFF
 		}
 		n, err := c.Conn.Write(q)
-		// The stream is poisoned; no peer can resync a corrupted gob
-		// stream, so finish the job.
+		// The flipped byte fails the peer's next frame checksum; close
+		// so the fault surfaces as one clean transport failure.
 		c.Conn.Close()
 		return n, err
 	}

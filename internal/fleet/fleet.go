@@ -66,9 +66,6 @@ type Config struct {
 	// PollInterval is how often agents re-poll directives and pending
 	// reports (default 2ms).
 	PollInterval time.Duration
-	// Wire selects the agents' connection codec (default: binary; the
-	// chaos matrix runs each codec to hold them bit-identical).
-	Wire proto.WireVersion
 }
 
 func (c Config) clients() int {
@@ -149,7 +146,6 @@ type agentConn struct {
 	dial      func() (net.Conn, error)
 	attempts  int
 	opTimeout time.Duration
-	wire      proto.WireVersion
 	conn      *proto.Conn
 	// retried counts attempts beyond the first across all operations —
 	// the transport retries the idempotent protocol absorbed.
@@ -186,7 +182,7 @@ func (a *agentConn) do(fn func(c *proto.Conn) error) error {
 				lastErr = err
 				continue
 			}
-			a.conn = proto.NewConnWire(nc, a.wire)
+			a.conn = proto.NewConn(nc)
 		}
 		c := a.conn
 		c.SetDeadline(time.Now().Add(a.opTimeout))
@@ -270,7 +266,7 @@ func reproduceFailure(mod *ir.Module) *core.RunReport {
 func runAgent(p Program, cfg Config, idx int) (*Result, error) {
 	ctx := cfg.context()
 	a := &agentConn{ctx: ctx, dial: cfg.Dial, attempts: cfg.maxAttempts(),
-		opTimeout: cfg.opTimeout(), wire: cfg.Wire}
+		opTimeout: cfg.opTimeout()}
 	defer a.close()
 	clientID := fmt.Sprintf("agent-%d", idx)
 

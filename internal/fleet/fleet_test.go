@@ -49,9 +49,7 @@ func runFleet(t *testing.T, bugID string, wrap func(net.Listener) net.Listener, 
 
 	res, err := fleet.Run(
 		fleet.Program{Fail: failInst.Mod, OK: okInst.Mod},
-		// Wire honors SNORLAX_WIRE so the CI fleet matrix drives the
-		// same e2e once per codec (binary production path, gob oracle).
-		fleet.Config{Dial: dial(ln.Addr().String()), Clients: 4, Wire: proto.WireFromEnv()})
+		fleet.Config{Dial: dial(ln.Addr().String()), Clients: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

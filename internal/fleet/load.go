@@ -65,8 +65,6 @@ type LoadConfig struct {
 	// it once. Smaller alpha = heavier tail (default 1.5); samples are
 	// capped at 16 reports per agent.
 	TailAlpha float64
-	// Wire selects the agents' connection codec (default: binary).
-	Wire proto.WireVersion
 }
 
 func (c LoadConfig) agents() int {
@@ -99,7 +97,6 @@ func (c LoadConfig) fleetConfig() Config {
 		OpTimeout:    c.OpTimeout,
 		PollInterval: c.PollInterval,
 		SeedBase:     c.SeedBase,
-		Wire:         c.Wire,
 	}
 }
 
@@ -381,7 +378,7 @@ func runLoadAgent(cfg LoadConfig, pool *loadPool, idx int, rng *rand.Rand,
 	col *loadCollector, withAgg func(func(*caseAgg))) error {
 	fc := cfg.fleetConfig()
 	a := &agentConn{ctx: fc.context(), dial: cfg.Dial,
-		attempts: fc.maxAttempts(), opTimeout: fc.opTimeout(), wire: fc.Wire}
+		attempts: fc.maxAttempts(), opTimeout: fc.opTimeout()}
 	defer a.close()
 	clientID := fmt.Sprintf("load-agent-%d", idx)
 

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -14,76 +13,18 @@ import (
 	"snorlax/internal/wire"
 )
 
-// This file is the binary codec for the protocol's messages: explicit
-// per-field encoding (zigzag varints, length-prefixed strings, fixed
-// 8-byte float bits) over the wire package's CRC32C frames, replacing
-// gob on the hot upload path. A request travels as one envelope frame
-// — every field except snapshot ring bytes, plus a declared size table
-// per snapshot — followed by bounded chunk frames carrying the rings,
-// so a receiver can stream-decode pt packets (and a router can relay)
-// while the snapshot is still arriving. Responses are always a single
-// frame.
-//
-// The legacy gob codec remains selectable (WireGob) as the
-// differential-testing oracle for this PR: both codecs must produce
-// bit-identical fleet reports under the chaos matrix before gob is
-// deleted. Gob is deprecated pending that removal.
-
-// WireVersion selects a connection's codec.
-type WireVersion int
-
-const (
-	// WireAuto is the zero value: the binary codec (the default since
-	// this PR; gob is the legacy oracle).
-	WireAuto WireVersion = iota
-	// WireBinary is the length-prefixed binary codec.
-	WireBinary
-	// WireGob is the legacy gob codec. Deprecated: it exists as the
-	// differential-testing oracle and will be removed in a later PR.
-	WireGob
-)
-
-// resolve folds WireAuto onto the default codec.
-func (v WireVersion) resolve() WireVersion {
-	if v == WireGob {
-		return WireGob
-	}
-	return WireBinary
-}
-
-func (v WireVersion) String() string {
-	if v.resolve() == WireGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// ParseWireVersion parses a codec name: "binary", "gob", or "" (the
-// default codec).
-func ParseWireVersion(s string) (WireVersion, error) {
-	switch s {
-	case "", "binary":
-		return WireBinary, nil
-	case "gob":
-		return WireGob, nil
-	}
-	return WireAuto, fmt.Errorf("proto: unknown wire codec %q (want binary or gob)", s)
-}
-
-// WireFromEnv reads the SNORLAX_WIRE environment variable — the knob
-// the differential CI matrix turns to run the e2e suites once per
-// codec. Unset or unrecognized values mean the default codec.
-func WireFromEnv() WireVersion {
-	v, err := ParseWireVersion(os.Getenv("SNORLAX_WIRE"))
-	if err != nil {
-		return WireAuto
-	}
-	return v
-}
+// This file is the protocol's message codec: explicit per-field
+// encoding (zigzag varints, length-prefixed strings, fixed 8-byte
+// float bits) over the wire package's CRC32C frames. A request travels
+// as one envelope frame — every field except snapshot ring bytes, plus
+// a declared size table per snapshot — followed by bounded chunk
+// frames carrying the rings, so a receiver can stream-decode pt
+// packets (and a router can relay) while the snapshot is still
+// arriving. Responses are always a single frame.
 
 // Request/Response kind codes. Unknown kinds (client-controlled
 // strings) travel as kindOther plus the literal string, so the
-// server's "unknown request" rejection matches gob byte for byte.
+// server's "unknown request" rejection can quote it.
 const kindOther = 0xFF
 
 var reqKindCodes = map[string]uint64{
@@ -125,7 +66,7 @@ func parseKind(d *wire.Dec, names map[uint64]string) string {
 
 // Slice length convention: 0 encodes nil, n+1 encodes length n — the
 // nil/empty distinction survives the round trip, keeping decoded
-// messages DeepEqual to what gob would have delivered.
+// messages DeepEqual to the encoded ones.
 
 func appendSliceLen(b []byte, n int, isNil bool) []byte {
 	if isNil {
@@ -589,24 +530,16 @@ func writeBinaryRequest(w *wire.Writer, req *Request) error {
 
 // RequestEnvelope is a request's first frame, decoded: every field
 // except the snapshot ring bytes, which are still on the wire as
-// Chunks() chunk frames. It is the shard router's streaming primitive
-// — enough to route (Kind, Tenant, RoutePC, the failure PC) without
-// buffering a single ring byte.
+// chunk frames. It is enough to route (Kind, Tenant, RoutePC, the
+// failure PC) without buffering a single ring byte.
 type RequestEnvelope struct {
 	// Req has every scalar field populated; Snapshot/Snapshots are nil
 	// until Assemble consumes the chunk frames.
 	Req      Request
+	hdr      []byte
 	payload  []byte
 	metas    []snapMeta
 	snapsNil bool
-}
-
-// ParseRequestEnvelope decodes an envelope payload — the body of a
-// FrameRequest frame, without its type byte. It is the entry the
-// shard router's relay path uses on frames captured raw (NextRaw):
-// parse to route, forward the bytes untouched.
-func ParseRequestEnvelope(payload []byte) (*RequestEnvelope, error) {
-	return parseRequestEnvelope(payload)
 }
 
 // parseRequestEnvelope decodes an envelope payload.
@@ -635,23 +568,39 @@ func parseRequestEnvelope(payload []byte) (*RequestEnvelope, error) {
 	return env, nil
 }
 
-// ReadRequestEnvelope reads and decodes one request envelope frame.
-func ReadRequestEnvelope(r *wire.Reader) (*RequestEnvelope, error) {
-	typ, payload, err := r.Next()
+// readEnvelope reads and decodes one request envelope frame. limit
+// (0 = unlimited) is the per-message byte budget, checked against the
+// envelope plus its declared ring bytes before a single ring byte is
+// buffered, so an oversize message costs the wire time, never the
+// heap. A breach returns wire.ErrFrameTooLarge.
+func readEnvelope(r *wire.Reader, limit int64) (*RequestEnvelope, error) {
+	typ, hdr, body, err := r.NextRaw()
 	if err != nil {
 		return nil, err
 	}
 	if typ != wire.FrameRequest {
 		return nil, fmt.Errorf("%w: frame type 0x%02x where a request was expected", wire.ErrDecode, typ)
 	}
-	return parseRequestEnvelope(payload)
+	env, err := parseRequestEnvelope(body[1:])
+	if err != nil {
+		return nil, err
+	}
+	if limit > 0 && int64(len(env.payload))+env.DeclaredBytes() > limit {
+		return nil, wire.ErrFrameTooLarge
+	}
+	env.hdr = hdr
+	return env, nil
 }
 
-// Payload returns the raw envelope payload — what a relay forwards
-// verbatim. The view aliases the reader's frame buffer: it is valid
-// only until the next read on that reader (relay it before pumping
-// chunks; the writer copies on Frame).
-func (e *RequestEnvelope) Payload() []byte { return e.payload }
+// AppendFrame appends the envelope frame exactly as it arrived —
+// header, type byte and payload — to dst: what a relay forwards
+// verbatim. The frame aliases the reader's buffer, so append it
+// before reading the chunk frames.
+func (e *RequestEnvelope) AppendFrame(dst []byte) []byte {
+	dst = append(dst, e.hdr...)
+	dst = append(dst, wire.FrameRequest)
+	return append(dst, e.payload...)
+}
 
 // DeclaredBytes totals the ring bytes the envelope declares across
 // all its snapshots.
@@ -667,16 +616,15 @@ func (e *RequestEnvelope) DeclaredBytes() int64 {
 // each thread's bytes through the pt packet scanner as they arrive,
 // and fills in Req.Snapshot/Req.Snapshots. It returns the number of
 // pt packets stream-decoded and how many thread streams were
-// malformed (informational — malformed rings are admitted, exactly as
-// the gob codec admits them, and dealt with by degraded-mode
-// diagnosis).
+// malformed (informational — malformed rings are admitted and dealt
+// with by degraded-mode diagnosis).
 //
 // Corroboration batches ("batch" requests) skip the packet scan: their
 // snapshots are hashed and deduplicated on arrival — most are
 // discarded as duplicates or post-quota — and any ring that a case
 // actually uses is fully pt-decoded at diagnosis time. Scanning every
 // upload eagerly would redo that work per arrival on the fleet's
-// hottest path (the legacy gob codec never scanned at all). Structural
+// hottest path. Structural
 // enforcement — declared sizes, thread accounting, frame checksums —
 // is identical in both modes.
 func (e *RequestEnvelope) Assemble(r *wire.Reader) (packets, scanErrs int, err error) {
@@ -756,47 +704,6 @@ func (e *RequestEnvelope) Assemble(r *wire.Reader) (packets, scanErrs int, err e
 	return packets, scanErrs, nil
 }
 
-// readBinaryRequest reads one complete request: envelope frame plus
-// chunk frames, stream-decoding pt packets on the way. limit (0 =
-// unlimited) is the per-message byte budget — the same budget the gob
-// path meters with its limited reader — checked against the declared
-// sizes before a single ring byte is buffered, so an oversize message
-// costs the wire time, never the heap. A breach returns
-// wire.ErrFrameTooLarge: reply "message exceeds frame limit", then
-// close, exactly like a tripped gob limit.
-func readBinaryRequest(r *wire.Reader, limit int64) (Request, int, int, error) {
-	env, err := ReadRequestEnvelope(r)
-	if err != nil {
-		return Request{}, 0, 0, err
-	}
-	if limit > 0 && int64(len(env.payload))+env.DeclaredBytes() > limit {
-		return Request{}, 0, 0, wire.ErrFrameTooLarge
-	}
-	packets, scanErrs, err := env.Assemble(r)
-	if err != nil {
-		return Request{}, packets, scanErrs, err
-	}
-	return env.Req, packets, scanErrs, nil
-}
-
-// ReadBinaryRequest reads one complete binary-codec request — the
-// envelope frame plus its streamed chunk frames — under limit as the
-// per-message byte budget (0 = unlimited). It is the shard router's
-// decode entry, shared with the server's accept loop so both ends
-// enforce identical oversize semantics: a budget breach returns
-// wire.ErrFrameTooLarge and the caller replies "message exceeds frame
-// limit" before closing.
-func ReadBinaryRequest(r *wire.Reader, limit int64) (Request, int, int, error) {
-	return readBinaryRequest(r, limit)
-}
-
-// WriteBinaryResponse frames and flushes one response — the reply
-// half of ReadBinaryRequest, for relays that speak the binary codec
-// to clients.
-func WriteBinaryResponse(w *wire.Writer, resp *Response) error {
-	return writeBinaryResponse(w, resp)
-}
-
 // --- responses ---
 
 func appendResponsePayload(b []byte, resp *Response) []byte {
@@ -866,21 +773,4 @@ func readBinaryResponse(r *wire.Reader) (Response, error) {
 		return Response{}, fmt.Errorf("%w: frame type 0x%02x where a response was expected", wire.ErrDecode, typ)
 	}
 	return parseResponsePayload(payload)
-}
-
-// ReadRawResponse reads one response frame and returns both the
-// decoded response and the raw payload view (valid until the next
-// read) — the relay primitive: a router decodes to inspect, then
-// forwards the payload verbatim so replies stay byte-identical across
-// a hop.
-func ReadRawResponse(r *wire.Reader) (Response, []byte, error) {
-	typ, payload, err := r.Next()
-	if err != nil {
-		return Response{}, nil, err
-	}
-	if typ != wire.FrameResponse {
-		return Response{}, nil, fmt.Errorf("%w: frame type 0x%02x where a response was expected", wire.ErrDecode, typ)
-	}
-	resp, err := parseResponsePayload(payload)
-	return resp, payload, err
 }

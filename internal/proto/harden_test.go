@@ -126,7 +126,7 @@ func TestFrameLimitKillsConnection(t *testing.T) {
 	defer conn.Close()
 
 	// A 1 MB message blows the decode-layer frame limit: the server
-	// replies why and disconnects (the gob stream is unrecoverable).
+	// replies why and disconnects.
 	err = conn.SendSuccess(bigSnapshot(1 << 20))
 	if err == nil {
 		t.Fatal("oversize frame accepted")

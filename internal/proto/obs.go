@@ -40,25 +40,15 @@ const (
 	// cases close and their ledgers are pruned.
 	MetricFleetLedgerEntries = "snorlax_fleet_ledger_entries"
 
-	// Per-codec wire metrics (labelled by codec: "binary" or "gob").
-	MetricWireConns = "snorlax_wire_conns_total"
-	MetricWireRx    = "snorlax_wire_rx_bytes_total"
-	MetricWireTx    = "snorlax_wire_tx_bytes_total"
 	// MetricWireFrameErrors counts rejected/failed frames by failure
 	// kind ("header", "payload", "truncated", "frame-limit", "decode",
 	// "pt-scan").
 	MetricWireFrameErrors = "snorlax_wire_frame_errors_total"
 	// MetricWireStreamedPackets counts pt packets decoded while their
-	// snapshot was still arriving (binary codec's streaming ingest).
+	// snapshot was still arriving (streaming ingest).
 	// Corroboration-batch rings are not counted: they are validated
 	// structurally on arrival and pt-decoded lazily at diagnosis.
 	MetricWireStreamedPackets = "snorlax_wire_streamed_packets_total"
-)
-
-// Codec label values.
-const (
-	codecBinary = "binary"
-	codecGob    = "gob"
 )
 
 // Frame-error label values.
@@ -71,9 +61,18 @@ const (
 	frameErrScan      = "pt-scan"
 )
 
-var codecLabels = []string{codecBinary, codecGob}
 var frameErrorKinds = []string{frameErrHeader, frameErrPayload,
 	frameErrTruncated, frameErrLimit, frameErrDecode, frameErrScan}
+
+// Help strings of the series both the serving core and the server's
+// status view register (the registry is idempotent; one help text).
+const (
+	helpOpenConns       = "Currently connected clients."
+	helpDeadlineDrops   = "Connections dropped for blowing a read or write deadline."
+	helpOversizeRejects = "Messages and snapshots rejected for exceeding the byte caps."
+	helpPanicsRecovered = "Panics caught in connection handlers and diagnoses."
+	helpFrameErrors     = "Frames rejected or failed, by failure kind."
+)
 
 // requestKinds are the label values per-request metrics are keyed by.
 // Request.Kind is client-controlled, so anything unrecognized is
@@ -101,7 +100,6 @@ type protoMetrics struct {
 	deadlineDrops   *obs.Counter
 	oversizeRejects *obs.Counter
 	panicsRecovered *obs.Counter
-	acceptRetries   *obs.Counter
 	rxBytes         *obs.Counter
 	txBytes         *obs.Counter
 
@@ -115,34 +113,26 @@ type protoMetrics struct {
 	fleetReports   *obs.Counter
 	fleetLedger    *obs.Gauge
 
-	wireConns       map[string]*obs.Counter
-	wireRx          map[string]*obs.Counter
-	wireTx          map[string]*obs.Counter
-	frameErrors     map[string]*obs.Counter
+	scanErrors      *obs.Counter
 	streamedPackets *obs.Counter
 }
 
 func newProtoMetrics(reg *obs.Registry) *protoMetrics {
 	m := &protoMetrics{
-		openConns: reg.Gauge(MetricOpenConns, "Currently connected clients."),
+		openConns: reg.Gauge(MetricOpenConns, helpOpenConns),
 		active:    reg.Gauge(MetricActiveDiagnoses, "Diagnoses running right now."),
 		queued:    reg.Gauge(MetricQueuedDiagnoses, "Diagnoses waiting on the concurrency semaphore."),
 		maxConcurrent: reg.Gauge(MetricMaxConcurrent,
 			"Effective diagnosis semaphore width (configuration echo)."),
 		workers: reg.Gauge(MetricWorkers,
 			"Effective success-trace worker pool size (configuration echo)."),
-		completed: reg.Counter(MetricDiagnosesCompleted, "Diagnose requests answered with a diagnosis."),
-		failed:    reg.Counter(MetricDiagnosesFailed, "Diagnose requests answered with an error."),
-		deadlineDrops: reg.Counter(MetricDeadlineDrops,
-			"Connections dropped for blowing a read or write deadline."),
-		oversizeRejects: reg.Counter(MetricOversizeRejects,
-			"Messages and snapshots rejected for exceeding the byte caps."),
-		panicsRecovered: reg.Counter(MetricPanicsRecovered,
-			"Panics caught in connection handlers and diagnoses."),
-		acceptRetries: reg.Counter(MetricAcceptRetries,
-			"Transient listener Accept errors retried with backoff."),
-		rxBytes: reg.Counter(MetricRxBytes, "Bytes read from client connections."),
-		txBytes: reg.Counter(MetricTxBytes, "Bytes written to client connections."),
+		completed:       reg.Counter(MetricDiagnosesCompleted, "Diagnose requests answered with a diagnosis."),
+		failed:          reg.Counter(MetricDiagnosesFailed, "Diagnose requests answered with an error."),
+		deadlineDrops:   reg.Counter(MetricDeadlineDrops, helpDeadlineDrops),
+		oversizeRejects: reg.Counter(MetricOversizeRejects, helpOversizeRejects),
+		panicsRecovered: reg.Counter(MetricPanicsRecovered, helpPanicsRecovered),
+		rxBytes:         reg.Counter(MetricRxBytes, "Bytes read from client connections."),
+		txBytes:         reg.Counter(MetricTxBytes, "Bytes written to client connections."),
 		diagnoseSeconds: reg.Histogram(MetricDiagnoseSeconds,
 			"Wall-clock seconds per diagnosis, semaphore wait excluded.", nil),
 		requests: make(map[string]requestMetrics, len(requestKinds)),
@@ -158,24 +148,9 @@ func newProtoMetrics(reg *obs.Registry) *protoMetrics {
 			"Fleet diagnosis reports published."),
 		fleetLedger: reg.Gauge(MetricFleetLedgerEntries,
 			"Live (client, case) batch-dedup ledger entries."),
-		wireConns:   make(map[string]*obs.Counter, len(codecLabels)),
-		wireRx:      make(map[string]*obs.Counter, len(codecLabels)),
-		wireTx:      make(map[string]*obs.Counter, len(codecLabels)),
-		frameErrors: make(map[string]*obs.Counter, len(frameErrorKinds)),
+		scanErrors: reg.Counter(MetricWireFrameErrors, helpFrameErrors, obs.L("kind", frameErrScan)),
 		streamedPackets: reg.Counter(MetricWireStreamedPackets,
 			"pt packets decoded while their snapshot was still arriving."),
-	}
-	for _, codec := range codecLabels {
-		m.wireConns[codec] = reg.Counter(MetricWireConns,
-			"Connections served, by negotiated wire codec.", obs.L("codec", codec))
-		m.wireRx[codec] = reg.Counter(MetricWireRx,
-			"Bytes read from client connections, by wire codec.", obs.L("codec", codec))
-		m.wireTx[codec] = reg.Counter(MetricWireTx,
-			"Bytes written to client connections, by wire codec.", obs.L("codec", codec))
-	}
-	for _, kind := range frameErrorKinds {
-		m.frameErrors[kind] = reg.Counter(MetricWireFrameErrors,
-			"Frames rejected or failed, by failure kind.", obs.L("kind", kind))
 	}
 	for _, kind := range requestKinds {
 		m.requests[kind] = requestMetrics{
@@ -198,41 +173,30 @@ func (m *protoMetrics) observeRequest(kind string, d time.Duration) {
 	rm.seconds.ObserveDuration(d)
 }
 
-// countingReader counts bytes pulled off a connection into rxBytes
-// and, once the codec is negotiated, into that codec's labelled
-// counter as well.
+// countingReader counts bytes pulled off a connection.
 type countingReader struct {
-	r     interface{ Read([]byte) (int, error) }
-	c     *obs.Counter
-	codec *obs.Counter
+	r interface{ Read([]byte) (int, error) }
+	c *obs.Counter
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	if n > 0 {
 		cr.c.Add(uint64(n))
-		if cr.codec != nil {
-			cr.codec.Add(uint64(n))
-		}
 	}
 	return n, err
 }
 
-// countingWriter counts bytes pushed onto a connection into txBytes
-// and the negotiated codec's labelled counter.
+// countingWriter counts bytes pushed onto a connection.
 type countingWriter struct {
-	w     interface{ Write([]byte) (int, error) }
-	c     *obs.Counter
-	codec *obs.Counter
+	w interface{ Write([]byte) (int, error) }
+	c *obs.Counter
 }
 
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	if n > 0 {
 		cw.c.Add(uint64(n))
-		if cw.codec != nil {
-			cw.codec.Add(uint64(n))
-		}
 	}
 	return n, err
 }

@@ -8,35 +8,31 @@
 // per-field encoding, and streaming snapshot upload — a request's
 // ring bytes follow its envelope as bounded chunk frames, which the
 // server feeds through the pt packet scanner while the snapshot is
-// still arriving. A connection declares the binary codec with a
-// 5-byte preamble; connections that send none are served by the
-// legacy gob codec (deprecated — kept this PR as the
-// differential-testing oracle, deleted once the chaos matrix proves
-// the codecs bit-identical). Protocol state lives in the connection —
-// one failure, its successful traces, one diagnosis request — while
-// the shared core.Server carries the cross-connection analysis cache.
-// Each connection runs in its own goroutine; diagnoses are bounded by
-// a server-wide semaphore so a burst of clients queues instead of
+// still arriving. A connection opens with a 5-byte preamble whose
+// version byte negotiates the format; a peer that sends none is closed
+// unanswered. Protocol state lives in the connection — one failure,
+// its successful traces, one diagnosis request — while the shared
+// core.Server carries the cross-connection analysis cache. Each
+// connection runs in its own goroutine; diagnoses are bounded by a
+// server-wide semaphore so a burst of clients queues instead of
 // oversubscribing the host.
 //
-// The server is built to survive a production fleet: per-message read
-// and write deadlines, per-message and per-snapshot byte caps enforced
-// before a request is even decoded, per-connection success-trace caps,
-// panic recovery around every handler, backoff on transient accept
-// errors, and a graceful Shutdown that drains in-flight diagnoses.
-// Recoverable protocol errors ("unknown request", an oversize
-// snapshot) get an "error" reply and the connection keeps serving;
-// only transport and decode failures disconnect, because a gob stream
-// cannot be resynchronized mid-message.
+// Connections are served by ConnServer (serve.go), the core the shard
+// router shares: per-message read and write deadlines, a per-message
+// byte cap enforced before a request is even decoded, panic recovery
+// around every handler, backoff on transient accept errors, and a
+// graceful drain that lets in-flight diagnoses finish. The server adds
+// the per-snapshot and per-connection success-trace caps. Recoverable
+// protocol errors ("unknown request", an oversize snapshot) get an
+// "error" reply and the connection keeps serving; transport and
+// decode failures disconnect.
 package proto
 
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -219,8 +215,8 @@ type Server struct {
 	// snapshot; 0 means DefaultMaxSnapshotBytes, negative means
 	// unlimited. A snapshot over the cap (but within the decode-layer
 	// frame limit) gets an "error" reply and the connection keeps
-	// serving; a message so large it trips the frame limit closes the
-	// connection, since a half-read gob stream cannot be resumed.
+	// serving; a message so large it trips the frame limit gets the
+	// reply and then the connection closes.
 	MaxSnapshotBytes int64
 	// MaxSuccessesPerConn caps success traces spooled for a
 	// connection's current diagnosis session; each new failure report
@@ -261,27 +257,12 @@ type Server struct {
 	// and cache metrics scrape as one surface (see obs.go). Status()
 	// is a read-only view over these handles.
 	om *protoMetrics
+	// conns is the serving core: accept loop, drain, negotiation.
+	conns *ConnServer
 
-	// shutdown flips once Shutdown begins; handlers exit between
-	// requests and Serve loops return instead of re-accepting.
-	shutdown atomic.Bool
 	// restored flips when Restore completes; Ready gates on it for
 	// servers with a durable store.
 	restored atomic.Bool
-	// mu guards the listener and connection registries Shutdown
-	// drains.
-	mu         sync.Mutex
-	listeners  map[net.Listener]struct{}
-	connStates map[*connState]struct{}
-}
-
-// connState tracks one live connection for Shutdown: busy is set
-// while a request is being served, so draining closes only
-// between-request (idle) connections and lets in-flight diagnoses
-// finish.
-type connState struct {
-	conn net.Conn
-	busy atomic.Bool
 }
 
 // NewServer wraps a core analysis server.
@@ -296,6 +277,7 @@ func (s *Server) init() {
 		s.MaxConcurrent = n
 		s.sem = make(chan struct{}, n)
 		s.om = newProtoMetrics(s.Core.Metrics())
+		s.conns = NewConnServer(s.Core.Metrics())
 		s.om.maxConcurrent.Set(int64(n))
 		workers := s.Core.Workers
 		if workers <= 0 {
@@ -408,7 +390,8 @@ func (s *Server) Status() ServerStatus {
 // write error. The error says which condition failed — the payload
 // of the /readyz endpoint and the router's health checks.
 func (s *Server) Ready() error {
-	if s.shutdown.Load() {
+	s.init()
+	if s.conns.Draining() {
 		return errors.New("proto: server is draining")
 	}
 	if s.Store != nil {
@@ -423,41 +406,10 @@ func (s *Server) Ready() error {
 }
 
 // Serve accepts connections until the listener closes or Shutdown is
-// called. Transient accept errors (in the net.Error Temporary sense —
-// EMFILE, ECONNABORTED) back off with capped exponential delay and
-// retry, mirroring net/http; only persistent errors return.
+// called (see ConnServer.Serve).
 func (s *Server) Serve(ln net.Listener) error {
 	s.init()
-	if !s.trackListener(ln) {
-		ln.Close()
-		return nil
-	}
-	defer s.untrackListener(ln)
-	var delay time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.shutdown.Load() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if te, ok := err.(interface{ Temporary() bool }); ok && te.Temporary() {
-				s.om.acceptRetries.Inc()
-				if delay == 0 {
-					delay = 5 * time.Millisecond
-				} else {
-					delay *= 2
-				}
-				if delay > time.Second {
-					delay = time.Second
-				}
-				time.Sleep(delay)
-				continue
-			}
-			return err
-		}
-		delay = 0
-		go s.handle(conn)
-	}
+	return s.conns.Serve(ln, s.connHandler())
 }
 
 // Shutdown stops accepting new connections and drains the server:
@@ -471,285 +423,51 @@ func (s *Server) Serve(ln net.Listener) error {
 // joined.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.init()
-	s.shutdown.Store(true)
-	s.mu.Lock()
-	for ln := range s.listeners {
-		ln.Close()
-	}
-	s.mu.Unlock()
-
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		if s.closeIdleConns() == 0 {
-			return s.syncStore(nil)
-		}
-		select {
-		case <-ctx.Done():
-			s.mu.Lock()
-			for st := range s.connStates {
-				st.conn.Close()
-			}
-			s.mu.Unlock()
-			return s.syncStore(ctx.Err())
-		case <-ticker.C:
-		}
-	}
-}
-
-// syncStore ends a drain by flushing and closing the durable store.
-// Store errors — including a sticky error from an earlier append or
-// background flush nobody was positioned to see — join the drain
-// error rather than being masked by it.
-func (s *Server) syncStore(drainErr error) error {
+	err := s.conns.Shutdown(ctx)
 	if s.Store == nil {
-		return drainErr
+		return err
 	}
-	return errors.Join(drainErr, s.Store.Flush(), s.Store.Close())
+	// Store errors — including a sticky error from an earlier append
+	// or background flush nobody was positioned to see — join the
+	// drain error rather than being masked by it.
+	return errors.Join(err, s.Store.Flush(), s.Store.Close())
 }
 
-// closeIdleConns closes every tracked connection not currently serving
-// a request and returns how many connections remain tracked.
-func (s *Server) closeIdleConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for st := range s.connStates {
-		if !st.busy.Load() {
-			st.conn.Close()
-		}
-	}
-	return len(s.connStates)
-}
-
-func (s *Server) trackListener(ln net.Listener) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shutdown.Load() {
-		return false
-	}
-	if s.listeners == nil {
-		s.listeners = make(map[net.Listener]struct{})
-	}
-	s.listeners[ln] = struct{}{}
-	return true
-}
-
-func (s *Server) untrackListener(ln net.Listener) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.listeners, ln)
-}
-
-func (s *Server) trackConn(st *connState) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shutdown.Load() {
-		return false
-	}
-	if s.connStates == nil {
-		s.connStates = make(map[*connState]struct{})
-	}
-	s.connStates[st] = struct{}{}
-	return true
-}
-
-func (s *Server) untrackConn(st *connState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.connStates, st)
-}
-
-// isTimeout reports whether err is a deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// handle negotiates the wire codec — a binary preamble selects the
-// frame protocol, its absence the legacy gob stream — and runs the
-// matching serve loop. Both loops share serveRequest, so admission
-// semantics cannot diverge between codecs.
-func (s *Server) handle(conn net.Conn) {
-	s.init() // handle is also an entry point (pipe transports in tests)
-	st := &connState{conn: conn}
-	if !s.trackConn(st) {
-		conn.Close()
-		return
-	}
-	defer s.untrackConn(st)
-	s.om.openConns.Inc()
-	defer s.om.openConns.Dec()
-	defer conn.Close()
-	cr := &countingReader{r: conn, c: s.om.rxBytes}
-	cw := &countingWriter{w: conn, c: s.om.txBytes}
-	br := bufio.NewReaderSize(cr, 32<<10)
-	if s.IdleTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-	}
-	version, binaryMode, err := wire.ReadPreamble(br)
-	if err != nil {
-		if isTimeout(err) {
-			s.om.deadlineDrops.Inc()
-		}
-		return
-	}
-	if binaryMode {
-		s.handleBinary(conn, st, br, cr, cw, version)
-	} else {
-		s.handleGob(conn, st, br, cr, cw)
-	}
-}
-
-// handleGob serves a legacy gob connection. Deprecated along with the
-// codec itself: this loop is the differential-testing oracle and goes
-// away when gob does.
-func (s *Server) handleGob(conn net.Conn, st *connState, br *bufio.Reader, cr *countingReader, cw *countingWriter) {
-	cr.codec = s.om.wireRx[codecGob]
-	cw.codec = s.om.wireTx[codecGob]
-	s.om.wireConns[codecGob].Inc()
-	lim := &wire.LimitedReader{R: br, Limit: s.frameLimit()}
-	dec := gob.NewDecoder(lim)
-	enc := gob.NewEncoder(cw)
-
-	var failing *core.RunReport
-	var successes []*core.RunReport
-
-	reply := func(r Response) bool {
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		err := enc.Encode(r)
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if isTimeout(err) {
-			s.om.deadlineDrops.Inc()
-		}
-		return err == nil
-	}
-	// Last-resort panic recovery: a request that drives the handler
-	// somewhere impossible costs its own connection, never the server.
-	defer func() {
-		if p := recover(); p != nil {
-			s.om.panicsRecovered.Inc()
-			reply(Response{Kind: "error", Err: fmt.Sprintf("internal error: %v", p)})
-		}
-	}()
-	for {
-		if s.shutdown.Load() {
-			return
-		}
-		if s.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-		}
-		lim.Reset()
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			switch {
-			case lim.Tripped():
-				// The stream is poisoned mid-message; say why, then
-				// disconnect.
-				s.om.oversizeRejects.Inc()
-				s.om.frameErrors[frameErrLimit].Inc()
-				reply(Response{Kind: "error", Err: "message exceeds frame limit"})
-			case isTimeout(err):
-				s.om.deadlineDrops.Inc()
-			}
-			return // transport/decode failure: the stream is unusable
-		}
-		st.busy.Store(true)
-		reqStart := time.Now()
-		keep := s.serveRequest(req, &failing, &successes, reply)
-		s.om.observeRequest(req.Kind, time.Since(reqStart))
-		st.busy.Store(false)
-		if !keep {
-			return
-		}
-	}
-}
-
-// handleBinary serves a binary-framed connection: requests stream in
-// as an envelope plus chunk frames (pt packets scanned as they
-// arrive), responses go out as single frames through a pooled,
-// coalescing writer — the near-zero-alloc accept path.
-func (s *Server) handleBinary(conn net.Conn, st *connState, br *bufio.Reader, cr *countingReader, cw *countingWriter, version byte) {
-	cr.codec = s.om.wireRx[codecBinary]
-	cw.codec = s.om.wireTx[codecBinary]
-	s.om.wireConns[codecBinary].Inc()
-	r := wire.NewReader(br, s.frameLimit())
-	defer r.Release()
-	w := wire.NewWriter(cw)
-	defer w.Release()
-
-	var failing *core.RunReport
-	var successes []*core.RunReport
-
-	reply := func(resp Response) bool {
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		err := writeBinaryResponse(w, &resp)
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if isTimeout(err) {
-			s.om.deadlineDrops.Inc()
-		}
-		return err == nil
-	}
-	if version != wire.Version1 {
-		reply(Response{Kind: "error", Err: fmt.Sprintf("unsupported wire version 0x%02x", version)})
-		return
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.om.panicsRecovered.Inc()
-			reply(Response{Kind: "error", Err: fmt.Sprintf("internal error: %v", p)})
-		}
-	}()
-	for {
-		if s.shutdown.Load() {
-			return
-		}
-		if s.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-		}
-		req, packets, scanErrs, err := readBinaryRequest(r, s.frameLimit())
-		if err != nil {
-			switch {
-			case errors.Is(err, wire.ErrFrameTooLarge):
-				// Same two-tier rule as the gob path: a message past
-				// the frame limit earns the reply, then the close.
-				s.om.oversizeRejects.Inc()
-				s.om.frameErrors[frameErrLimit].Inc()
-				reply(Response{Kind: "error", Err: "message exceeds frame limit"})
-			case errors.Is(err, wire.ErrPayloadCorrupt):
-				s.om.frameErrors[frameErrPayload].Inc()
-			case errors.Is(err, wire.ErrHeaderCorrupt):
-				s.om.frameErrors[frameErrHeader].Inc()
-			case errors.Is(err, wire.ErrDecode):
-				s.om.frameErrors[frameErrDecode].Inc()
-			case isTimeout(err):
-				s.om.deadlineDrops.Inc()
-			case errors.Is(err, io.ErrUnexpectedEOF):
-				s.om.frameErrors[frameErrTruncated].Inc()
-			}
-			return // transport/decode failure: the stream is unusable
-		}
-		if packets > 0 {
-			s.om.streamedPackets.Add(uint64(packets))
-		}
-		if scanErrs > 0 {
-			s.om.frameErrors[frameErrScan].Add(uint64(scanErrs))
-		}
-		st.busy.Store(true)
-		reqStart := time.Now()
-		keep := s.serveRequest(req, &failing, &successes, reply)
-		s.om.observeRequest(req.Kind, time.Since(reqStart))
-		st.busy.Store(false)
-		if !keep {
-			return
-		}
+// connHandler plugs the server into the serving core. Each connection
+// carries its own single-program session state; each request is
+// assembled (its pt packets scanned as the chunks arrive) and served,
+// its count and latency recorded before the reply is flushed, so a
+// client holding an answer always sees its request counted.
+func (s *Server) connHandler() ConnHandler {
+	return ConnHandler{
+		IdleTimeout:  s.IdleTimeout,
+		WriteTimeout: s.WriteTimeout,
+		FrameLimit:   s.frameLimit(),
+		RxBytes:      s.om.rxBytes,
+		TxBytes:      s.om.txBytes,
+		Open: func(c *ClientConn) (func(*RequestEnvelope) error, func()) {
+			var failing *core.RunReport
+			var successes []*core.RunReport
+			return func(env *RequestEnvelope) error {
+				packets, scanErrs, err := env.Assemble(c.Reader())
+				if err != nil {
+					return err
+				}
+				s.om.streamedPackets.Add(uint64(packets))
+				s.om.scanErrors.Add(uint64(scanErrs))
+				start := time.Now()
+				var werr error
+				reply := func(resp Response) bool {
+					s.om.observeRequest(env.Req.Kind, time.Since(start))
+					werr = c.Reply(&resp)
+					return werr == nil
+				}
+				if !s.serveRequest(env.Req, &failing, &successes, reply) {
+					return werr
+				}
+				return nil
+			}, nil
+		},
 	}
 }
 
@@ -801,21 +519,16 @@ func (s *Server) serveRequest(req Request, failing **core.RunReport, successes *
 	}
 }
 
-// Conn is the client side of one diagnosis conversation. The codec is
-// fixed at construction: binary (the default) sends the wire preamble
-// before its first frame; gob (legacy, deprecated) sends none.
+// Conn is the client side of one diagnosis conversation. It sends the
+// wire preamble before its first frame.
 type Conn struct {
-	conn net.Conn
-	// gob codec.
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// binary codec.
+	conn         net.Conn
 	w            *wire.Writer
 	r            *wire.Reader
 	preambleSent bool
 }
 
-// Dial connects to a diagnosis server with the default codec.
+// Dial connects to a diagnosis server.
 func Dial(network, addr string) (*Conn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
@@ -825,30 +538,14 @@ func Dial(network, addr string) (*Conn, error) {
 }
 
 // NewConn wraps an established connection (e.g. one side of
-// net.Pipe in tests) with the default codec.
-func NewConn(c net.Conn) *Conn { return NewConnWire(c, WireAuto) }
-
-// NewConnWire wraps an established connection with an explicit codec
-// — WireGob keeps the legacy oracle talking during the differential
-// window.
-func NewConnWire(c net.Conn, v WireVersion) *Conn {
-	if v.resolve() == WireGob {
-		return &Conn{conn: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-	}
+// net.Pipe in tests).
+func NewConn(c net.Conn) *Conn {
 	return &Conn{
 		conn: c,
 		w:    wire.NewWriter(c),
 		// No read limit client-side: the server is the trusted peer.
 		r: wire.NewReader(bufio.NewReaderSize(c, 32<<10), 0),
 	}
-}
-
-// Wire reports the connection's codec.
-func (c *Conn) Wire() WireVersion {
-	if c.enc != nil {
-		return WireGob
-	}
-	return WireBinary
 }
 
 // Close closes the underlying connection and returns the codec's
@@ -867,87 +564,69 @@ func (c *Conn) Close() error {
 // retryable timeout.
 func (c *Conn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
-// send frames (or gob-encodes) one request and flushes it.
-func (c *Conn) send(req *Request) error {
-	if c.enc != nil {
-		return c.enc.Encode(*req)
-	}
+// preamble queues the wire preamble ahead of the connection's first
+// frame.
+func (c *Conn) preamble() {
 	if !c.preambleSent {
-		if err := c.w.Preamble(wire.Version1); err != nil {
-			return err
-		}
+		c.w.Preamble(wire.Version1)
 		c.preambleSent = true
 	}
+}
+
+// send frames one request and flushes it.
+func (c *Conn) send(req *Request) error {
+	c.preamble()
 	if err := writeBinaryRequest(c.w, req); err != nil {
 		return err
 	}
 	return c.w.Flush()
 }
 
-// recv reads one response.
-func (c *Conn) recv() (Response, error) {
-	if c.dec != nil {
-		var resp Response
-		err := c.dec.Decode(&resp)
-		return resp, err
-	}
-	return readBinaryResponse(c.r)
-}
-
 func (c *Conn) roundTrip(req Request) (Response, error) {
-	if err := c.send(&req); err != nil {
-		return Response{}, err
-	}
-	resp, err := c.recv()
-	if err != nil {
-		return Response{}, err
-	}
-	if resp.Kind == "error" {
+	resp, err := c.RoundTrip(req)
+	if err == nil && resp.Kind == "error" {
 		return resp, &ServerError{Msg: resp.Err, Code: resp.Code}
 	}
-	return resp, nil
+	return resp, err
 }
 
 // RoundTrip sends one raw request and decodes one response — the
 // forwarding primitive the shard router is built on. Unlike the typed
 // client methods, a server "error" reply is returned as the Response
 // with a nil error, so a forwarder can relay it to its own client
-// verbatim; a non-nil error always means the transport or the codec
+// verbatim; a non-nil error always means the transport or the frame
 // stream failed and the connection is unusable.
 func (c *Conn) RoundTrip(req Request) (Response, error) {
 	if err := c.send(&req); err != nil {
 		return Response{}, err
 	}
-	return c.recv()
+	return readBinaryResponse(c.r)
 }
 
-// RelayRaw sends a pre-framed binary-codec request — envelope and
-// chunk frames captured verbatim by a Reader's NextRaw on another
-// connection — and reads one response. It is the shard router's
-// zero-copy forwarding primitive: the message is neither decoded nor
-// re-framed at the hop, and the sender's checksums cross untouched.
-// Like RoundTrip, a server "error" reply comes back as the Response
-// with a nil error. The raw response payload is returned alongside
-// (valid until the next read on this connection) so the reply can be
-// relayed byte-identically too. The connection must speak the binary
-// codec.
-func (c *Conn) RelayRaw(raw []byte) (Response, []byte, error) {
-	if c.enc != nil {
-		return Response{}, nil, errors.New("proto: RelayRaw on a gob connection")
-	}
-	if !c.preambleSent {
-		if err := c.w.Preamble(wire.Version1); err != nil {
-			return Response{}, nil, err
-		}
-		c.preambleSent = true
-	}
+// RelayRaw sends a pre-framed request — an envelope and its chunk
+// frames captured verbatim on another connection — and returns the
+// raw payload of the one response frame (valid until the next read on
+// this connection). It is the shard router's zero-copy forwarding
+// primitive: the message is neither decoded nor re-framed at the hop,
+// the sender's checksums cross untouched, and the reply can be relayed
+// byte-identically too. Like RoundTrip, a server "error" reply is a
+// payload with a nil error.
+func (c *Conn) RelayRaw(raw []byte) ([]byte, error) {
+	c.preamble()
 	if err := c.w.Raw(raw); err != nil {
-		return Response{}, nil, err
+		return nil, err
 	}
 	if err := c.w.Flush(); err != nil {
-		return Response{}, nil, err
+		return nil, err
 	}
-	return ReadRawResponse(c.r)
+	typ, payload, err := c.r.Next()
+	if err != nil {
+		return nil, err
+	}
+	if typ != wire.FrameResponse {
+		return nil, fmt.Errorf("%w: frame type 0x%02x where a response was expected", wire.ErrDecode, typ)
+	}
+	return payload, nil
 }
 
 // ReportFailure uploads a failure and returns the trigger PC the

@@ -135,7 +135,8 @@ func TestPipeTransport(t *testing.T) {
 	srv := NewServer(core.NewServer(failInst.Mod))
 	a, b := net.Pipe()
 	defer a.Close()
-	go srv.handle(b)
+	srv.init()
+	go srv.conns.serveConn(b, srv.connHandler())
 
 	conn := NewConn(a)
 	rep := core.NewClient(failInst.Mod).Run(1, ir.NoPC)

@@ -34,10 +34,6 @@ type RetryConfig struct {
 	// off in lockstep (the reconnect thundering herd this jitter
 	// exists to break).
 	JitterSeed int64
-	// Wire selects the connection codec (default: the binary wire
-	// format; WireGob keeps the legacy oracle during the differential
-	// window).
-	Wire WireVersion
 }
 
 func (c RetryConfig) maxAttempts() int {
@@ -172,7 +168,7 @@ func (r *RetryClient) session() (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := NewConnWire(nc, r.cfg.Wire)
+	c := NewConn(nc)
 	if r.failure != nil {
 		if err := r.op(c, func() error {
 			pc, err := c.ReportFailure(r.failure, r.failSnap)

@@ -11,23 +11,21 @@ import (
 	"time"
 
 	"snorlax/internal/core"
+	"snorlax/internal/obs"
 	"snorlax/internal/pt"
 	"snorlax/internal/wire"
 )
 
-// dialWire opens a client connection pinned to one codec.
-func dialWire(t *testing.T, addr string, v WireVersion) *Conn {
-	t.Helper()
-	nc, err := net.Dial("tcp", addr)
+// readBinaryRequest reads one complete request — envelope plus chunk
+// frames — the way the serving core and a handler's Assemble do.
+func readBinaryRequest(r *wire.Reader, limit int64) (Request, int, int, error) {
+	env, err := readEnvelope(r, limit)
 	if err != nil {
-		t.Fatal(err)
+		return Request{}, 0, 0, err
 	}
-	c := NewConnWire(nc, v)
-	t.Cleanup(func() { c.Close() })
-	return c
+	packets, scanErrs, err := env.Assemble(r)
+	return env.Req, packets, scanErrs, err
 }
-
-var bothCodecs = []WireVersion{WireBinary, WireGob}
 
 // TestBinaryRequestRoundTrip pushes every request kind — including
 // multi-snapshot batches with real ring bytes — through the binary
@@ -99,105 +97,110 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecsProduceIdenticalDiagnoses is the differential oracle: the
-// same prepared session replayed over a binary and a gob connection
-// must publish bit-identical diagnoses.
-func TestCodecsProduceIdenticalDiagnoses(t *testing.T) {
+// TestSessionMatchesDirectDiagnosis is the session protocol's
+// reference oracle: a session replayed over TCP must publish a
+// diagnosis whose fingerprint equals a direct core.Server.Diagnose of
+// the same failing and success reports — a reference no codec can
+// skew.
+func TestSessionMatchesDirectDiagnosis(t *testing.T) {
 	inst, rep, uploads := diagnosisSession(t, "aget-1", 6)
 	addr := startServer(t, inst.Mod)
-	diags := make(map[WireVersion]*core.Diagnosis)
-	for _, v := range bothCodecs {
-		diags[v] = runSession(t, dialWire(t, addr, v), rep, uploads)
+	got := runSession(t, dialFleet(t, addr), rep, uploads)
+
+	successes := make([]*core.RunReport, len(uploads))
+	for i, snap := range uploads {
+		successes[i] = &core.RunReport{Snapshot: snap}
 	}
-	bin, gob := diags[WireBinary], diags[WireGob]
-	// Stats carry wall-clock timings and cache counters that naturally
-	// differ run to run; every analytic field must match exactly.
-	if !reflect.DeepEqual(bin.Scores, gob.Scores) || !reflect.DeepEqual(bin.Best, gob.Best) ||
-		bin.Unique != gob.Unique || bin.AnchorPC != gob.AnchorPC {
-		t.Fatalf("binary and gob sessions published different diagnoses:\nbinary: %+v\ngob: %+v", bin, gob)
+	want, err := core.NewServer(inst.Mod).Diagnose(rep, successes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bin.Stats.SuccessTraces != gob.Stats.SuccessTraces ||
-		bin.Stats.DroppedSuccesses != gob.Stats.DroppedSuccesses ||
-		bin.Stats.DynEvents != gob.Stats.DynEvents {
-		t.Fatalf("codecs fed the diagnosis different trace material:\nbinary: %+v\ngob: %+v",
-			bin.Stats, gob.Stats)
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("session diagnosis differs from the direct one:\nsession: %+v\ndirect:  %+v", got, want)
+	}
+	if got.Stats.SuccessTraces != len(uploads) {
+		t.Fatalf("session diagnosed over %d success traces, want %d", got.Stats.SuccessTraces, len(uploads))
 	}
 }
 
-// TestOversizeSemanticsPerCodec is the cross-codec oversize table: at
-// the cap, one byte over the cap, a frame-limit breach, and a torn
-// frame must behave identically on both codecs — same reply strings,
-// same counters, same connection fate.
+// TestOversizeSemanticsPerCodec is the oversize table: at the cap,
+// one byte over the cap, a frame-limit breach, a torn frame and a
+// connection without a preamble — reply strings, counters and
+// connection fate.
 func TestOversizeSemanticsPerCodec(t *testing.T) {
 	const cap = 8 << 10
-	for _, v := range bothCodecs {
-		t.Run(v.String(), func(t *testing.T) {
-			addr, srv, rep := startCappedServerAddr(t, "aget-1", cap)
-			conn := dialWire(t, addr, v)
+	addr, srv, rep := startCappedServerAddr(t, "aget-1", cap)
+	conn := dialFleet(t, addr)
 
-			if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-				t.Fatal(err)
-			}
-			// At the cap: admitted.
-			if err := conn.SendSuccess(bigSnapshot(cap)); err != nil {
-				t.Fatalf("at-cap snapshot rejected: %v", err)
-			}
-			// One byte over: deterministic rejection, connection survives.
-			var se *ServerError
-			if err := conn.SendSuccess(bigSnapshot(cap + 1)); !errors.As(err, &se) ||
-				!strings.Contains(err.Error(), "cap") {
-				t.Fatalf("cap+1 snapshot: err = %v, want a cap ServerError", err)
-			}
-			if err := conn.SendSuccess(bigSnapshot(16)); err != nil {
-				t.Fatalf("connection did not survive a semantic oversize reject: %v", err)
-			}
-			if n := srv.Status().OversizeRejects; n != 1 {
-				t.Errorf("OversizeRejects = %d after cap+1, want 1", n)
-			}
+	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	// At the cap: admitted.
+	if err := conn.SendSuccess(bigSnapshot(cap)); err != nil {
+		t.Fatalf("at-cap snapshot rejected: %v", err)
+	}
+	// One byte over: deterministic rejection, connection survives.
+	var se *ServerError
+	if err := conn.SendSuccess(bigSnapshot(cap + 1)); !errors.As(err, &se) ||
+		!strings.Contains(err.Error(), "cap") {
+		t.Fatalf("cap+1 snapshot: err = %v, want a cap ServerError", err)
+	}
+	if err := conn.SendSuccess(bigSnapshot(16)); err != nil {
+		t.Fatalf("connection did not survive a semantic oversize reject: %v", err)
+	}
+	if n := srv.Status().OversizeRejects; n != 1 {
+		t.Errorf("OversizeRejects = %d after cap+1, want 1", n)
+	}
 
-			// Frame-limit breach: reply (racing the close) and the
-			// connection dies.
-			if err := conn.SendSuccess(bigSnapshot(1 << 20)); err == nil {
-				t.Fatal("frame-limit breach accepted")
-			}
-			if _, err := conn.Status(); err == nil {
-				t.Fatal("connection survived a frame-limit breach")
-			}
-			if n := srv.Status().OversizeRejects; n != 2 {
-				t.Errorf("OversizeRejects = %d after frame breach, want 2", n)
-			}
+	// Frame-limit breach: reply (racing the close) and the connection
+	// dies.
+	if err := conn.SendSuccess(bigSnapshot(1 << 20)); err == nil {
+		t.Fatal("frame-limit breach accepted")
+	}
+	if _, err := conn.Status(); err == nil {
+		t.Fatal("connection survived a frame-limit breach")
+	}
+	if n := srv.Status().OversizeRejects; n != 2 {
+		t.Errorf("OversizeRejects = %d after frame breach, want 2", n)
+	}
 
-			// Torn frame: a partial message followed by close is a
-			// transport failure — no reply, and the server keeps serving.
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v == WireBinary {
-				var torn bytes.Buffer
-				w := wire.NewWriter(&torn)
-				w.Preamble(wire.Version1)
-				w.Frame(wire.FrameRequest, make([]byte, 100))
-				w.Flush()
-				nc.Write(torn.Bytes()[:torn.Len()-40])
-			} else {
-				nc.Write([]byte{0x2c, 0xff}) // a truncated gob type descriptor
-			}
-			nc.(*net.TCPConn).CloseWrite()
-			if got, _ := io.ReadAll(nc); len(got) != 0 {
-				t.Fatalf("torn frame drew a %d-byte reply, want silence", len(got))
-			}
-			nc.Close()
-			fresh := dialWire(t, addr, v)
-			if _, err := fresh.Status(); err != nil {
-				t.Fatalf("server unusable after a torn frame: %v", err)
-			}
-		})
+	// Torn frame: a partial message followed by close is a transport
+	// failure — no reply, and the server keeps serving.
+	var torn bytes.Buffer
+	w := wire.NewWriter(&torn)
+	w.Preamble(wire.Version1)
+	w.Frame(wire.FrameRequest, make([]byte, 100))
+	w.Flush()
+	expectSilence(t, addr, torn.Bytes()[:torn.Len()-40])
+	// No preamble: not this protocol — closed unanswered, counted as a
+	// header error.
+	expectSilence(t, addr, []byte("GET / HTTP/1.0\r\n\r\n"))
+	if n := counterVal(t, srv.Metrics(), MetricWireFrameErrors, obs.L("kind", frameErrHeader)); n != 1 {
+		t.Errorf("header frame errors = %d after a preamble-less connection, want 1", n)
+	}
+	if _, err := dialFleet(t, addr).Status(); err != nil {
+		t.Fatalf("server unusable after a torn frame and a preamble-less peer: %v", err)
+	}
+}
+
+// expectSilence sends raw bytes on a fresh connection, half-closes it
+// and requires the server to close without replying.
+func expectSilence(t *testing.T, addr string, raw []byte) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.Write(raw)
+	nc.(*net.TCPConn).CloseWrite()
+	if got, _ := io.ReadAll(nc); len(got) != 0 {
+		t.Fatalf("%q drew a %d-byte reply, want silence", raw, len(got))
 	}
 }
 
 // startCappedServerAddr starts a snapshot-capped TCP server and
-// returns its address, for tests that dial with an explicit codec.
+// returns its address.
 func startCappedServerAddr(t *testing.T, bugID string, snapCap int64) (string, *Server, *core.RunReport) {
 	t.Helper()
 	inst, rep := reproduce(t, bugID)
@@ -218,36 +221,32 @@ func startCappedServerAddr(t *testing.T, bugID string, snapCap int64) (string, *
 // its accepted count instead of under-counting from the dedup's
 // Accepted 0.
 func TestUploadBatchLedgerReplayCarriesMark(t *testing.T) {
-	for _, v := range bothCodecs {
-		t.Run(v.String(), func(t *testing.T) {
-			fx := newFleetFixture(t, 3)
-			addr, _ := startServerHandle(t, fx.mod)
-			c := dialWire(t, addr, v)
-			id, err := c.Register(fx.moduleTx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			caseID, _, _, err := c.ReportFleetFailure(id, fx.failing.Failure, fx.failing.Snapshot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc := fx.failing.Failure.PC
-			accepted, ledger, _, err := c.UploadBatchLedger(id, caseID, pc, "agent-0", 1, fx.okSnaps[:2])
-			if err != nil || accepted != 2 || ledger != 2 {
-				t.Fatalf("first batch = (%d, %d, %v), want (2, 2, nil)", accepted, ledger, err)
-			}
-			// The reply was "lost"; the replay dedupes to Accepted 0 but
-			// must carry the original mark.
-			accepted, ledger, _, err = c.UploadBatchLedger(id, caseID, pc, "agent-0", 1, fx.okSnaps[:2])
-			if err != nil || accepted != 0 || ledger != 2 {
-				t.Fatalf("replayed batch = (%d, %d, %v), want (0, 2, nil)", accepted, ledger, err)
-			}
-			// A fresh batch advances the mark by exactly its admissions.
-			accepted, ledger, _, err = c.UploadBatchLedger(id, caseID, pc, "agent-0", 3, fx.okSnaps[2:3])
-			if err != nil || accepted != 1 || ledger != 3 {
-				t.Fatalf("next batch = (%d, %d, %v), want (1, 3, nil)", accepted, ledger, err)
-			}
-		})
+	fx := newFleetFixture(t, 3)
+	addr, _ := startServerHandle(t, fx.mod)
+	c := dialFleet(t, addr)
+	id, err := c.Register(fx.moduleTx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caseID, _, _, err := c.ReportFleetFailure(id, fx.failing.Failure, fx.failing.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := fx.failing.Failure.PC
+	accepted, ledger, _, err := c.UploadBatchLedger(id, caseID, pc, "agent-0", 1, fx.okSnaps[:2])
+	if err != nil || accepted != 2 || ledger != 2 {
+		t.Fatalf("first batch = (%d, %d, %v), want (2, 2, nil)", accepted, ledger, err)
+	}
+	// The reply was "lost"; the replay dedupes to Accepted 0 but must
+	// carry the original mark.
+	accepted, ledger, _, err = c.UploadBatchLedger(id, caseID, pc, "agent-0", 1, fx.okSnaps[:2])
+	if err != nil || accepted != 0 || ledger != 2 {
+		t.Fatalf("replayed batch = (%d, %d, %v), want (0, 2, nil)", accepted, ledger, err)
+	}
+	// A fresh batch advances the mark by exactly its admissions.
+	accepted, ledger, _, err = c.UploadBatchLedger(id, caseID, pc, "agent-0", 3, fx.okSnaps[2:3])
+	if err != nil || accepted != 1 || ledger != 3 {
+		t.Fatalf("next batch = (%d, %d, %v), want (1, 3, nil)", accepted, ledger, err)
 	}
 }
 

@@ -19,9 +19,8 @@ const maxStreamPacket = len("\x02\x82\x02\x82\x02\x82") + 10 + 10
 //
 // The scanner is informational: it counts packets and records the
 // first malformed-stream error, but it never gates ingest — admission
-// semantics must stay bit-identical to the legacy gob path, which
 // accepts any byte blob and leaves malformed rings to the diagnosis
-// stage. Callers re-Scan the same growing buffer after each chunk; the
+// stage's degraded mode. Callers re-Scan the same growing buffer after each chunk; the
 // scanner resumes from its saved offset, so streaming adds no copies.
 type StreamScanner struct {
 	wrapped bool
@@ -289,8 +288,9 @@ func (a *SnapshotAssembler) Feed(p []byte) error {
 
 func (a *SnapshotAssembler) finishThread() {
 	if a.need == 0 && len(a.data) == 0 {
-		// Zero-size threads still get their entry (gob round-trips
-		// empty Data as nil; match that for bit-identical reports).
+		// Zero-size threads still get their entry, with nil Data —
+		// what the WAL's gob records round-trip empty Data as — so a
+		// live snapshot and its recovered copy stay DeepEqual.
 		// They are never scanned — in either mode.
 		a.snap.Threads[a.tid] = SnapshotThread{Wrapped: a.wrapped}
 	} else {

@@ -300,12 +300,12 @@ func TestChaosShardedFleet(t *testing.T) {
 		}
 		seed = v
 	}
-	// All fault kinds except Corrupt: the fleet protocol has no payload
-	// checksums, so a byte flipped inside an opaque snapshot buffer
-	// passes gob intact and poisons the case's trace of record — a
-	// transport-integrity problem, not the crash-tolerance under test.
+	// Every fault kind, Corrupt included: every hop is CRC32C-framed, so
+	// a flipped byte is caught at the next frame check and surfaces as
+	// a transport failure the retry loops absorb, never as a poisoned
+	// trace of record.
 	inj := faultnet.New(faultnet.Config{Seed: seed, FaultEvery: 40, MaxFaults: 300,
-		Kinds: []faultnet.Kind{faultnet.Drop, faultnet.Stall, faultnet.PartialWrite}})
+		Kinds: []faultnet.Kind{faultnet.Drop, faultnet.Stall, faultnet.PartialWrite, faultnet.Corrupt}})
 	dial := inj.Dialer(func() (net.Conn, error) { return net.Dial("tcp", routerAddr) })
 
 	// Register every program up front (idempotent — the swarm will do
@@ -420,6 +420,11 @@ func TestChaosShardedFleet(t *testing.T) {
 	t.Logf("load: %d agents, %d reports, %d/%d snapshots accepted, directive p50=%v p99=%v, %d retries, %v",
 		res.Stats.Agents, res.Stats.Reports, res.Stats.Accepted, res.Stats.Uploaded,
 		res.Stats.DirectiveP50, res.Stats.DirectiveP99, res.Stats.Retried, res.Stats.Duration)
+	if n := inj.Stats().Corruptions; n == 0 {
+		t.Error("the chaos schedule corrupted no byte; Corrupt is miswired")
+	} else {
+		t.Logf("chaos: %+v", inj.Stats())
+	}
 
 	// Every case stopped at exactly the 10× quota and published.
 	if len(res.Cases) != len(programs) {

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"snorlax/internal/obs"
@@ -71,8 +68,7 @@ type RouterConfig struct {
 	// Retry tunes per-request forwarding: attempts, jittered
 	// exponential backoff between them, and the per-round-trip
 	// deadline — the same knobs (and defaults) as the retrying
-	// session client. Retry.Wire also selects the upstream codec the
-	// router dials shards with (default: binary).
+	// session client.
 	Retry proto.RetryConfig
 	// HealthInterval is the shard health probe period (0 = 500ms).
 	HealthInterval time.Duration
@@ -98,6 +94,11 @@ type RouterConfig struct {
 // for old clients that do not stamp one, an ordered scan keyed off
 // the shards' machine-readable "unknown case" rejection.
 //
+// Client connections are served by the same core as the analysis
+// server's (proto.ConnServer): accept backoff, drain, negotiation,
+// panic recovery and the frame-limit rule are shared, and the router
+// supplies only its per-request handler.
+//
 // The router holds no durable state: every case lives in exactly one
 // shard's WAL. A router restart loses nothing; a shard restart is
 // invisible (same name, same keys, recovery via the shard's own
@@ -119,22 +120,12 @@ type Router struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	shutdown   atomic.Bool
+	// conns is the serving core: accept loop, drain, negotiation.
+	conns *proto.ConnServer
+
 	healthOnce sync.Once
 	healthStop chan struct{}
 	healthDone chan struct{}
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[*routerConn]struct{}
-}
-
-// routerConn tracks one client connection for drain: busy is set
-// while a request is in flight, so Shutdown closes idle connections
-// and lets forwarded requests finish.
-type routerConn struct {
-	conn net.Conn
-	busy atomic.Bool
 }
 
 // routedKinds lists the fleet request kinds the router understands.
@@ -167,8 +158,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		reg:        cfg.Registry,
 		healthStop: make(chan struct{}),
 		healthDone: make(chan struct{}),
-		listeners:  make(map[net.Listener]struct{}),
-		conns:      make(map[*routerConn]struct{}),
 	}
 	if r.dial == nil {
 		r.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -176,6 +165,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if r.reg == nil {
 		r.reg = obs.NewRegistry()
 	}
+	r.conns = proto.NewConnServer(r.reg)
 	seed := cfg.Retry.JitterSeed
 	if seed == 0 {
 		// Derived per-router entropy, like the retrying client: router
@@ -229,7 +219,7 @@ func (r *Router) Owner(key Key) Member {
 // single down shard degrades (its keys stall and retry) but does not
 // flip the router unready — the other shards' cases still flow.
 func (r *Router) Ready() error {
-	if r.shutdown.Load() {
+	if r.conns.Draining() {
 		return errors.New("shard: router is draining")
 	}
 	for _, m := range r.members {
@@ -297,53 +287,19 @@ func (r *Router) healthLoop() {
 }
 
 // Serve accepts client connections until the listener closes or
-// Shutdown is called, mirroring the analysis server's accept loop
-// (transient-error backoff included). The health prober starts with
-// the first Serve call.
+// Shutdown is called (see proto.ConnServer.Serve). The health prober
+// starts with the first Serve call.
 func (r *Router) Serve(ln net.Listener) error {
-	if !r.trackListener(ln) {
-		ln.Close()
-		return nil
-	}
-	defer r.untrackListener(ln)
 	r.healthOnce.Do(func() { go r.healthLoop() })
-	var delay time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.shutdown.Load() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if te, ok := err.(interface{ Temporary() bool }); ok && te.Temporary() {
-				if delay == 0 {
-					delay = 5 * time.Millisecond
-				} else {
-					delay *= 2
-				}
-				if delay > time.Second {
-					delay = time.Second
-				}
-				time.Sleep(delay)
-				continue
-			}
-			return err
-		}
-		delay = 0
-		go r.handle(conn)
-	}
+	return r.conns.Serve(ln, r.connHandler())
 }
 
-// Shutdown drains the router: listeners close, idle client
+// Shutdown drains the router — listeners close, idle client
 // connections close immediately, in-flight forwards finish (up to
-// ctx), and the health prober stops. The router has no durable state
-// to flush, so a drained router can simply be replaced.
+// ctx) — and then stops the health prober. The router has no durable
+// state to flush, so a drained router can simply be replaced.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.shutdown.Store(true)
-	r.mu.Lock()
-	for ln := range r.listeners {
-		ln.Close()
-	}
-	r.mu.Unlock()
+	err := r.conns.Shutdown(ctx)
 	r.healthOnce.Do(func() { close(r.healthDone) }) // never served: nothing to stop
 	select {
 	case <-r.healthDone:
@@ -351,74 +307,15 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		close(r.healthStop)
 		<-r.healthDone
 	}
-
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		if r.closeIdleConns() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			r.mu.Lock()
-			for st := range r.conns {
-				st.conn.Close()
-			}
-			r.mu.Unlock()
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
-}
-
-func (r *Router) closeIdleConns() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for st := range r.conns {
-		if !st.busy.Load() {
-			st.conn.Close()
-		}
-	}
-	return len(r.conns)
-}
-
-func (r *Router) trackListener(ln net.Listener) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shutdown.Load() {
-		return false
-	}
-	r.listeners[ln] = struct{}{}
-	return true
-}
-
-func (r *Router) untrackListener(ln net.Listener) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.listeners, ln)
-}
-
-func (r *Router) trackConn(st *routerConn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shutdown.Load() {
-		return false
-	}
-	r.conns[st] = struct{}{}
-	return true
-}
-
-func (r *Router) untrackConn(st *routerConn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.conns, st)
+	return err
 }
 
 // frameLimit is the router's decode-layer cap on one client message.
-// The rule is encoded once, in wire.Limits, and shared verbatim with
-// the analysis server: same default, same breach semantics (reply
-// "message exceeds frame limit", then close), so a client cannot
-// observe whether the cap tripped at the router or the shard.
+// The rule is encoded once, in wire.Limits, and enforced by the
+// serving core the analysis server shares: same default, same breach
+// semantics (reply "message exceeds frame limit", then close), so a
+// client cannot observe whether the cap tripped at the router or the
+// shard.
 func (r *Router) frameLimit() int64 {
 	if r.cfg.FrameLimit > 0 {
 		return r.cfg.FrameLimit
@@ -442,7 +339,7 @@ func (u *upstreams) get(m Member) (*proto.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := proto.NewConnWire(nc, u.r.cfg.Retry.Wire)
+	c := proto.NewConn(nc)
 	u.conns[m.Name] = c
 	return c, nil
 }
@@ -488,11 +385,12 @@ func (r *Router) backoff(a int) {
 	time.Sleep(time.Duration(float64(d) * (0.5 + f)))
 }
 
-// forward sends req to member m, retrying transport failures on fresh
-// connections with jittered backoff. A server "error" reply is a
+// forward runs call against member m's upstream connection,
+// retrying transport failures on fresh connections with jittered
+// backoff under the per-attempt deadline. A server "error" reply is a
 // success at this layer (it is relayed, not retried). The returned
 // error means the shard stayed unreachable through the whole budget.
-func (r *Router) forward(u *upstreams, m Member, req proto.Request) (proto.Response, error) {
+func (r *Router) forward(u *upstreams, m Member, call func(c *proto.Conn) error) error {
 	var lastErr error
 	attempts := r.retryAttempts()
 	for a := 0; a < attempts; a++ {
@@ -505,11 +403,12 @@ func (r *Router) forward(u *upstreams, m Member, req proto.Request) (proto.Respo
 			lastErr = err
 			continue
 		}
-		if t := r.cfg.Retry.OpTimeout; t > 0 {
+		t := r.cfg.Retry.OpTimeout
+		if t > 0 {
 			c.SetDeadline(time.Now().Add(t))
 		}
-		resp, err := c.RoundTrip(req)
-		if t := r.cfg.Retry.OpTimeout; t > 0 {
+		err = call(c)
+		if t > 0 {
 			c.SetDeadline(time.Time{})
 		}
 		if err != nil {
@@ -518,164 +417,65 @@ func (r *Router) forward(u *upstreams, m Member, req proto.Request) (proto.Respo
 			continue
 		}
 		r.forwards[m.Name].Inc()
-		return resp, nil
+		return nil
 	}
-	return proto.Response{}, fmt.Errorf("shard %s (%s): unreachable after %d attempts: %w",
+	return fmt.Errorf("shard %s (%s): unreachable after %d attempts: %w",
 		m.Name, m.Addr, attempts, lastErr)
 }
 
-// handle serves one client connection: negotiate the codec off the
-// preamble, then decode a request, route it, encode the reply. A
-// shard that stays unreachable drops the client connection (a
-// transport fault the client's retry loop absorbs) rather than
-// sending an "error" reply clients would treat as a deterministic
-// rejection.
-func (r *Router) handle(nc net.Conn) {
-	st := &routerConn{conn: nc}
-	if !r.trackConn(st) {
-		nc.Close()
-		return
-	}
-	defer r.untrackConn(st)
-	defer nc.Close()
-	u := &upstreams{r: r, conns: make(map[string]*proto.Conn)}
-	defer u.closeAll()
-	br := bufio.NewReaderSize(nc, 32<<10)
-	if r.cfg.IdleTimeout > 0 {
-		nc.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
-	}
-	version, binary, err := wire.ReadPreamble(br)
-	if err != nil {
-		return
-	}
-	if binary {
-		r.handleBinary(st, nc, br, u, version)
-	} else {
-		r.handleGob(st, nc, br, u)
+// roundTrip forwards one decoded request to member m.
+func (r *Router) roundTrip(u *upstreams, m Member, req proto.Request) (resp proto.Response, err error) {
+	err = r.forward(u, m, func(c *proto.Conn) (err error) {
+		resp, err = c.RoundTrip(req)
+		return err
+	})
+	return resp, err
+}
+
+// errDropped closes a client connection whose request needed a shard
+// that stayed unreachable. Dropping the transport (rather than
+// replying "error") keeps the client's own retry loop alive.
+var errDropped = errors.New("shard: upstream unreachable; dropping the client")
+
+// connHandler plugs the router into the serving core: each client
+// connection gets its own cached upstream connections, closed when it
+// ends.
+func (r *Router) connHandler() proto.ConnHandler {
+	return proto.ConnHandler{
+		IdleTimeout: r.cfg.IdleTimeout,
+		FrameLimit:  r.frameLimit(),
+		Open: func(c *proto.ClientConn) (func(*proto.RequestEnvelope) error, func()) {
+			u := &upstreams{r: r, conns: make(map[string]*proto.Conn)}
+			return func(env *proto.RequestEnvelope) error { return r.serve(c, u, env) }, u.closeAll
+		},
 	}
 }
 
-// handleGob serves a legacy gob client. The decode-layer frame cap is
-// the analysis server's, verbatim: the shared limited reader meters
-// bytes into gob, and a tripped limit earns the same "message exceeds
-// frame limit" reply before the close.
-func (r *Router) handleGob(st *routerConn, nc net.Conn, br *bufio.Reader, u *upstreams) {
-	lim := &wire.LimitedReader{R: br, Limit: r.frameLimit()}
-	dec := gob.NewDecoder(lim)
-	enc := gob.NewEncoder(nc)
-	for {
-		if r.shutdown.Load() {
-			return
-		}
-		if r.cfg.IdleTimeout > 0 {
-			nc.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
-		}
-		lim.Reset()
-		var req proto.Request
-		if err := dec.Decode(&req); err != nil {
-			if lim.Tripped() {
-				enc.Encode(proto.Response{Kind: "error", Err: "message exceeds frame limit"})
-			}
-			return
-		}
-		st.busy.Store(true)
-		resp, ok := r.route(u, req)
-		st.busy.Store(false)
-		if !ok {
-			r.dropped.Inc()
-			return
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
+// serve handles one client request. Requests with a single owning
+// shard take the zero-copy relay; fan-out kinds (register, directives,
+// status) and unrouted requests are assembled — the same full decode
+// the analysis server runs — and routed. The serving core has already
+// checked the message's declared size against the frame limit.
+func (r *Router) serve(c *proto.ClientConn, u *upstreams, env *proto.RequestEnvelope) error {
+	if ctr := r.requests[env.Req.Kind]; ctr != nil {
+		ctr.Inc()
 	}
+	if m, ok := r.relayOwner(env); ok {
+		return r.relay(c, u, env, m)
+	}
+	if _, _, err := env.Assemble(c.Reader()); err != nil {
+		return err
+	}
+	resp, ok := r.route(u, env.Req)
+	if !ok {
+		r.dropped.Inc()
+		return errDropped
+	}
+	return c.Reply(&resp)
 }
 
 // relayPool recycles the relay path's raw-frame buffers.
 var relayPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// handleBinary serves a binary-framed client. The envelope frame is
-// captured raw and parsed just enough to route; requests with a
-// single owning shard then take the zero-copy relay path — the
-// envelope and chunk frames cross the hop byte-identical, checksums
-// and all, without snapshot reassembly or re-encoding — while fan-out
-// kinds (register, directives, status) and unrouted requests fall back
-// to the same full decode the analysis server runs. Oversize semantics
-// cannot drift either way: the declared-size budget is checked against
-// the identical wire.Limits rule before a ring byte is buffered, and a
-// budget breach replies "message exceeds frame limit" then closes,
-// exactly like the server.
-func (r *Router) handleBinary(st *routerConn, nc net.Conn, br *bufio.Reader, u *upstreams, version byte) {
-	wr := wire.NewReader(br, r.frameLimit())
-	defer wr.Release()
-	ww := wire.NewWriter(nc)
-	defer ww.Release()
-	reply := func(resp proto.Response) bool {
-		return proto.WriteBinaryResponse(ww, &resp) == nil
-	}
-	if version != wire.Version1 {
-		reply(proto.Response{Kind: "error", Err: fmt.Sprintf("unsupported wire version 0x%02x", version)})
-		return
-	}
-	// The relay path requires the upstream hop to speak the same frame
-	// format; with a gob upstream every request is decoded and
-	// re-encoded at the hop.
-	relayable := r.cfg.Retry.Wire.String() == "binary"
-	for {
-		if r.shutdown.Load() {
-			return
-		}
-		if r.cfg.IdleTimeout > 0 {
-			nc.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
-		}
-		typ, hdr, body, err := wr.NextRaw()
-		if err != nil {
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				reply(proto.Response{Kind: "error", Err: "message exceeds frame limit"})
-			}
-			return
-		}
-		if typ != wire.FrameRequest {
-			return
-		}
-		env, err := proto.ParseRequestEnvelope(body[1:])
-		if err != nil {
-			return
-		}
-		// The identical budget formula to the server's decode entry
-		// (envelope payload + declared ring bytes), so the breach is
-		// observed at the same byte on both ends of the hop.
-		if lim := r.frameLimit(); lim > 0 && int64(len(body)-1)+env.DeclaredBytes() > lim {
-			reply(proto.Response{Kind: "error", Err: "message exceeds frame limit"})
-			return
-		}
-		if m, ok := r.relayOwner(env); relayable && ok {
-			st.busy.Store(true)
-			keep := r.relay(u, wr, ww, reply, env, m, hdr, body)
-			st.busy.Store(false)
-			if !keep {
-				return
-			}
-			continue
-		}
-		if _, _, err := env.Assemble(wr); err != nil {
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				reply(proto.Response{Kind: "error", Err: "message exceeds frame limit"})
-			}
-			return
-		}
-		st.busy.Store(true)
-		resp, ok := r.route(u, env.Req)
-		st.busy.Store(false)
-		if !ok {
-			r.dropped.Inc()
-			return
-		}
-		if !reply(resp) {
-			return
-		}
-	}
-}
 
 // relayOwner reports whether the request is a single-owner forward the
 // relay path can carry, and which shard owns it. Fan-out kinds, hints
@@ -699,93 +499,46 @@ func (r *Router) relayOwner(env *proto.RequestEnvelope) (Member, bool) {
 	return Member{}, false
 }
 
-// relay carries one request across the hop raw: the already-read
-// envelope frame plus its chunk frames accumulate verbatim (headers,
-// checksums and all) in a pooled buffer, go to the owning shard via
-// RelayRaw — which retries transport failures by resending the same
-// bytes — and the shard's reply payload is relayed back untouched.
-// The buffer is bounded by the frame-limit check the caller already
-// performed on the declared sizes. Returns false when the client
-// connection must close.
-func (r *Router) relay(u *upstreams, wr *wire.Reader, ww *wire.Writer, reply func(proto.Response) bool,
-	env *proto.RequestEnvelope, m Member, hdr, body []byte) bool {
+// relay carries one request across the hop raw: the envelope frame
+// plus its chunk frames accumulate verbatim (headers, checksums and
+// all) in a pooled buffer, go to the owning shard via RelayRaw — which
+// forward retries by resending the same bytes — and the shard's reply
+// payload is relayed back untouched. The buffer is bounded by the
+// frame limit the serving core checked on the declared sizes.
+func (r *Router) relay(c *proto.ClientConn, u *upstreams, env *proto.RequestEnvelope, m Member) error {
 	bufp := relayPool.Get().(*[]byte)
-	defer relayPool.Put(bufp)
-	raw := append((*bufp)[:0], hdr...)
-	raw = append(raw, body...)
+	raw := env.AppendFrame((*bufp)[:0])
+	defer func() {
+		*bufp = raw[:0]
+		relayPool.Put(bufp)
+	}()
 	for remaining := env.DeclaredBytes(); remaining > 0; {
-		typ, h, b, err := wr.NextRaw()
+		typ, h, b, err := c.Reader().NextRaw()
 		if err != nil {
-			*bufp = raw[:0]
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				reply(proto.Response{Kind: "error", Err: "message exceeds frame limit"})
-			}
-			return false
+			return err
 		}
 		n := int64(len(b) - 1)
 		if typ != wire.FrameChunk || n == 0 || n > remaining {
-			*bufp = raw[:0]
-			return false
+			return fmt.Errorf("%w: malformed chunk frame in a relayed request", wire.ErrDecode)
 		}
 		raw = append(raw, h...)
 		raw = append(raw, b...)
 		remaining -= n
 	}
-	*bufp = raw
-	if ctr := r.requests[env.Req.Kind]; ctr != nil {
-		ctr.Inc()
-	}
-	payload, err := r.forwardRaw(u, m, raw)
-	if err != nil {
+	var payload []byte
+	if err := r.forward(u, m, func(up *proto.Conn) (err error) {
+		payload, err = up.RelayRaw(raw)
+		return err
+	}); err != nil {
 		r.dropped.Inc()
-		return false
+		return errDropped
 	}
-	return ww.Frame(wire.FrameResponse, payload) == nil && ww.Flush() == nil
-}
-
-// forwardRaw is forward for the relay path: same retry budget, same
-// jittered backoff, same per-attempt deadline, resending the captured
-// frames instead of re-encoding a request. It returns the shard's raw
-// response payload (valid until the upstream's next read — i.e. until
-// the next request relayed to the same shard).
-func (r *Router) forwardRaw(u *upstreams, m Member, raw []byte) ([]byte, error) {
-	var lastErr error
-	attempts := r.retryAttempts()
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			r.retries[m.Name].Inc()
-			r.backoff(a)
-		}
-		c, err := u.get(m)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if t := r.cfg.Retry.OpTimeout; t > 0 {
-			c.SetDeadline(time.Now().Add(t))
-		}
-		_, payload, err := c.RelayRaw(raw)
-		if t := r.cfg.Retry.OpTimeout; t > 0 {
-			c.SetDeadline(time.Time{})
-		}
-		if err != nil {
-			lastErr = err
-			u.drop(m)
-			continue
-		}
-		r.forwards[m.Name].Inc()
-		return payload, nil
-	}
-	return nil, fmt.Errorf("shard %s (%s): unreachable after %d attempts: %w",
-		m.Name, m.Addr, attempts, lastErr)
+	return c.ReplyRaw(payload)
 }
 
 // route dispatches one request. ok=false means a shard the request
 // needed stayed unreachable and the client connection must drop.
 func (r *Router) route(u *upstreams, req proto.Request) (proto.Response, bool) {
-	if ctr := r.requests[req.Kind]; ctr != nil {
-		ctr.Inc()
-	}
 	switch req.Kind {
 	case "register":
 		return r.broadcastRegister(u, req)
@@ -793,13 +546,13 @@ func (r *Router) route(u *upstreams, req proto.Request) (proto.Response, bool) {
 		if req.Failure == nil {
 			return proto.Response{Kind: "error", Err: "fleet-failure request missing report"}, true
 		}
-		resp, err := r.forward(u, r.Owner(Key{Tenant: req.Tenant, PC: req.Failure.PC}), req)
+		resp, err := r.roundTrip(u, r.Owner(Key{Tenant: req.Tenant, PC: req.Failure.PC}), req)
 		return resp, err == nil
 	case "directives":
 		return r.mergeDirectives(u, req)
 	case "batch", "report":
 		if req.Routed {
-			resp, err := r.forward(u, r.Owner(Key{Tenant: req.Tenant, PC: req.RoutePC}), req)
+			resp, err := r.roundTrip(u, r.Owner(Key{Tenant: req.Tenant, PC: req.RoutePC}), req)
 			return resp, err == nil
 		}
 		return r.scanForCase(u, req)
@@ -822,7 +575,7 @@ func (r *Router) route(u *upstreams, req proto.Request) (proto.Response, bool) {
 func (r *Router) broadcastRegister(u *upstreams, req proto.Request) (proto.Response, bool) {
 	var out proto.Response
 	for _, m := range r.members {
-		resp, err := r.forward(u, m, req)
+		resp, err := r.roundTrip(u, m, req)
 		if err != nil {
 			return proto.Response{}, false
 		}
@@ -842,7 +595,7 @@ func (r *Router) broadcastRegister(u *upstreams, req proto.Request) (proto.Respo
 func (r *Router) mergeDirectives(u *upstreams, req proto.Request) (proto.Response, bool) {
 	var ds []proto.Directive
 	for _, m := range r.members {
-		resp, err := r.forward(u, m, req)
+		resp, err := r.roundTrip(u, m, req)
 		if err != nil {
 			return proto.Response{}, false
 		}
@@ -864,7 +617,7 @@ func (r *Router) mergeDirectives(u *upstreams, req proto.Request) (proto.Respons
 func (r *Router) scanForCase(u *upstreams, req proto.Request) (proto.Response, bool) {
 	var last proto.Response
 	for _, m := range r.members {
-		resp, err := r.forward(u, m, req)
+		resp, err := r.roundTrip(u, m, req)
 		if err != nil {
 			return proto.Response{}, false
 		}
@@ -883,7 +636,7 @@ func (r *Router) scanForCase(u *upstreams, req proto.Request) (proto.Response, b
 func (r *Router) sumStatus(u *upstreams, req proto.Request) (proto.Response, bool) {
 	var sum proto.ServerStatus
 	for _, m := range r.members {
-		resp, err := r.forward(u, m, req)
+		resp, err := r.roundTrip(u, m, req)
 		if err != nil {
 			return proto.Response{}, false
 		}

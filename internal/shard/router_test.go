@@ -44,8 +44,9 @@ func placeholderMod(t *testing.T) *ir.Module {
 }
 
 // startShards brings up n in-process shards with disjoint CaseBase
-// namespaces (shard i gets i<<32).
-func startShards(t *testing.T, n int) []testShard {
+// namespaces (shard i gets i<<32). configure, when given, adjusts each
+// server before it starts serving.
+func startShards(t *testing.T, n int, configure ...func(*proto.Server)) []testShard {
 	t.Helper()
 	mod := placeholderMod(t)
 	shards := make([]testShard, n)
@@ -58,6 +59,9 @@ func startShards(t *testing.T, n int) []testShard {
 		srv.IdleTimeout = 10 * time.Second
 		srv.WriteTimeout = 10 * time.Second
 		srv.CaseBase = uint64(i) << 32
+		for _, f := range configure {
+			f(srv)
+		}
 		go srv.Serve(ln)
 		shards[i] = testShard{
 			member: shard.Member{Name: fmt.Sprintf("shard-%d", i), Addr: ln.Addr().String()},

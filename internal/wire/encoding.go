@@ -10,8 +10,8 @@ import (
 // Field-level encoding primitives for frame payloads: unsigned and
 // zigzag varints for integers, uvarint-length-prefixed bytes for
 // strings, and fixed 8-byte little-endian IEEE 754 bits for float64
-// (lossless — the differential oracle against gob requires exact
-// round-trips, so floats are never formatted or truncated).
+// (lossless — a decoded diagnosis must equal the encoded one exactly,
+// so floats are never formatted or truncated).
 
 // AppendUvarint appends v as an unsigned varint.
 func AppendUvarint(b []byte, v uint64) []byte {

@@ -21,14 +21,12 @@
 // line noise and surfaces as ErrHeaderCorrupt, which readers treat as
 // a transport failure — retried, never rejected. A payload checksum
 // mismatch (ErrPayloadCorrupt) leaves the stream aligned on the next
-// frame boundary, so unlike a gob stream the connection CAN resync
-// past a rejected frame — the property the whole binary rewrite
-// exists to provide.
+// frame boundary, so the connection can resync past a rejected frame.
 //
-// A connection declares the binary protocol with a 5-byte preamble
-// (magic "SNXW" plus a version byte) before its first frame; legacy
-// gob connections send no preamble, which is how a server tells the
-// two apart (see ReadPreamble).
+// A connection opens with a 5-byte preamble (magic "SNXW" plus a
+// version byte) before its first frame. The version byte is how a
+// future format is negotiated; a stream without the magic is not this
+// protocol and is rejected (see ReadPreamble).
 package wire
 
 import (
@@ -41,10 +39,7 @@ import (
 	"sync"
 )
 
-// Magic opens the binary-protocol preamble. A gob stream can never
-// start with these bytes: gob's first message is the type descriptor
-// for the request struct, whose leading byte-count byte is fixed per
-// type and checked against this constant by the proto tests.
+// Magic opens the connection preamble.
 const Magic = "SNXW"
 
 // Version1 is the first (and current) binary protocol version,
@@ -98,11 +93,10 @@ const FrameSlackBytes = 64 << 10
 //     rejection: the peer gets an "error" reply and the connection
 //     keeps serving, with the binary framing resyncing past the
 //     rejected message's remaining chunk frames.
-//   - A frame-limit breach — one message (gob) or one frame (binary)
-//     declaring more than FrameLimit bytes — gets the "error" reply
-//     and then the connection closes: a gob stream cannot be resumed
-//     mid-message, and a binary frame that large is a protocol
-//     violation no honest client produces.
+//   - A frame-limit breach — one message declaring more than
+//     FrameLimit bytes — gets the "error" reply and then the
+//     connection closes: a message that large is a protocol violation
+//     no honest client produces.
 //
 // MaxSnapshotBytes follows the server's configuration convention:
 // 0 means DefaultMaxSnapshotBytes, negative means unlimited.
@@ -327,73 +321,27 @@ func (r *Reader) Release() {
 	r.buf = nil
 }
 
-// ReadPreamble sniffs br for the binary-protocol preamble. When the
-// next bytes are the magic, the full preamble is consumed and the
-// declared version returned with binary=true; otherwise nothing is
-// consumed (binary=false) and the stream should be served as legacy
-// gob. An immediately-closed connection (EOF before any byte)
-// surfaces the read error.
-func ReadPreamble(br *bufio.Reader) (version byte, binary bool, err error) {
-	head, err := br.Peek(len(Magic))
-	if err != nil || string(head) != Magic {
-		if err != nil && len(head) > 0 {
-			// A short non-magic prefix belongs to a (truncated) gob
-			// stream; let the gob decoder surface the failure.
-			err = nil
-		}
-		return 0, false, err
+// ErrNoPreamble rejects a connection whose first bytes are not the
+// preamble magic: the peer does not speak this protocol.
+var ErrNoPreamble = errors.New("wire: connection sent no preamble")
+
+// ReadPreamble consumes the connection preamble from br and returns
+// the declared version. A stream whose first bytes are not the magic
+// fails with ErrNoPreamble; one that ends inside the preamble fails
+// with the read error (io.EOF before any byte, io.ErrUnexpectedEOF
+// after some).
+func ReadPreamble(br *bufio.Reader) (version byte, err error) {
+	head, err := br.Peek(len(Magic) + 1)
+	if n := min(len(head), len(Magic)); string(head[:n]) != Magic[:n] {
+		return 0, ErrNoPreamble
 	}
-	if _, err := br.Discard(len(Magic)); err != nil {
-		return 0, false, err
-	}
-	v, err := br.ReadByte()
 	if err != nil {
-		return 0, false, err
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
 	}
-	return v, true, nil
-}
-
-// LimitedReader enforces the frame-limit tier on the legacy gob path,
-// where no length prefix exists: it meters bytes handed to the gob
-// decoder and fails once a single message's budget is spent, so a
-// multi-gigabyte "snapshot" is cut off after the limit, not after the
-// heap. Reset re-arms the budget before each message. (The decoder's
-// internal buffering can read slightly ahead into the next message;
-// the frame limit is deliberately slack, so attributing those bytes
-// to the current budget is harmless.)
-//
-// Both the analysis server and the shard router mount this same
-// defense with the same semantics: a tripped limit earns the client
-// an "error" reply and then the connection closes, because a
-// half-read gob stream cannot be resynchronized.
-type LimitedReader struct {
-	R         io.Reader
-	Limit     int64
-	remaining int64
-	tripped   bool
-}
-
-// Reset re-arms the budget for the next message.
-func (l *LimitedReader) Reset() {
-	l.remaining = l.Limit
-	l.tripped = false
-}
-
-// Tripped reports whether the current message blew the limit.
-func (l *LimitedReader) Tripped() bool { return l.tripped }
-
-func (l *LimitedReader) Read(p []byte) (int, error) {
-	if l.Limit <= 0 {
-		return l.R.Read(p)
-	}
-	if l.remaining <= 0 {
-		l.tripped = true
-		return 0, ErrFrameTooLarge
-	}
-	if int64(len(p)) > l.remaining {
-		p = p[:l.remaining]
-	}
-	n, err := l.R.Read(p)
-	l.remaining -= int64(n)
-	return n, err
+	version = head[len(Magic)]
+	br.Discard(len(head)) // cannot fail: Peek buffered these bytes
+	return version, nil
 }

@@ -51,9 +51,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	w.Release()
 
 	br := bufio.NewReader(&buf)
-	v, bin, err := ReadPreamble(br)
-	if err != nil || !bin || v != Version1 {
-		t.Fatalf("ReadPreamble = (%#x, %v, %v), want (%#x, true, nil)", v, bin, err, Version1)
+	v, err := ReadPreamble(br)
+	if err != nil || v != Version1 {
+		t.Fatalf("ReadPreamble = (%#x, %v), want (%#x, nil)", v, err, Version1)
 	}
 	r := NewReader(br, 0)
 	defer r.Release()
@@ -195,29 +195,28 @@ func TestReadPreamble(t *testing.T) {
 		name    string
 		in      string
 		version byte
-		binary  bool
-		wantErr bool
+		wantErr error
 		left    string // unconsumed remainder
 	}{
-		{name: "binary v1", in: Magic + "\x01rest", version: 1, binary: true, left: "rest"},
-		{name: "future version", in: Magic + "\x7f", version: 0x7f, binary: true},
-		{name: "gob stream untouched", in: "\x2c\xff\x81gobgob", left: "\x2c\xff\x81gobgob"},
-		{name: "short non-magic prefix", in: "\x2c", left: "\x2c"},
-		{name: "empty stream", in: "", wantErr: true},
-		{name: "magic but no version byte", in: Magic, wantErr: true},
+		{name: "binary v1", in: Magic + "\x01rest", version: 1, left: "rest"},
+		{name: "future version", in: Magic + "\x7f", version: 0x7f},
+		{name: "no preamble", in: "\x2c\xff\x81not-snxw", wantErr: ErrNoPreamble},
+		{name: "short non-magic prefix", in: "\x2c", wantErr: ErrNoPreamble},
+		{name: "empty stream", in: "", wantErr: io.EOF},
+		{name: "magic but no version byte", in: Magic, wantErr: io.ErrUnexpectedEOF},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			br := bufio.NewReader(strings.NewReader(tc.in))
-			v, bin, err := ReadPreamble(br)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("ReadPreamble = (%#x, %v, nil), want error", v, bin)
+			v, err := ReadPreamble(br)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("ReadPreamble = (%#x, %v), want %v", v, err, tc.wantErr)
 				}
 				return
 			}
-			if err != nil || bin != tc.binary || v != tc.version {
-				t.Fatalf("ReadPreamble = (%#x, %v, %v), want (%#x, %v, nil)", v, bin, err, tc.version, tc.binary)
+			if err != nil || v != tc.version {
+				t.Fatalf("ReadPreamble = (%#x, %v), want (%#x, nil)", v, err, tc.version)
 			}
 			rest, _ := io.ReadAll(br)
 			if string(rest) != tc.left {
@@ -244,40 +243,6 @@ func TestLimits(t *testing.T) {
 		if got := l.FrameLimit(); got != tc.limit {
 			t.Errorf("Limits{%d}.FrameLimit() = %d, want %d", tc.max, got, tc.limit)
 		}
-	}
-}
-
-func TestLimitedReader(t *testing.T) {
-	src := strings.Repeat("x", 100)
-	lr := &LimitedReader{R: strings.NewReader(src), Limit: 10}
-	lr.Reset()
-	if n, err := io.ReadFull(lr, make([]byte, 10)); n != 10 || err != nil {
-		t.Fatalf("within budget: (%d, %v)", n, err)
-	}
-	if lr.Tripped() {
-		t.Fatalf("tripped before the budget was exceeded")
-	}
-	if _, err := lr.Read(make([]byte, 1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("over budget: err = %v, want ErrFrameTooLarge", err)
-	}
-	if !lr.Tripped() {
-		t.Fatalf("Tripped() = false after the budget tripped")
-	}
-	lr.Reset()
-	if lr.Tripped() {
-		t.Fatalf("Reset did not clear the trip")
-	}
-	if n, err := io.ReadFull(lr, make([]byte, 10)); n != 10 || err != nil {
-		t.Fatalf("after Reset: (%d, %v)", n, err)
-	}
-
-	// Limit <= 0 is a pure passthrough: no metering, no trip.
-	pass := &LimitedReader{R: strings.NewReader(src)}
-	if n, err := io.ReadFull(pass, make([]byte, 100)); n != 100 || err != nil {
-		t.Fatalf("passthrough: (%d, %v)", n, err)
-	}
-	if pass.Tripped() {
-		t.Fatalf("passthrough tripped")
 	}
 }
 

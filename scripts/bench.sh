@@ -18,8 +18,8 @@
 # The perf CI lane records bench-head.txt, renders a benchstat report
 # artifact against the checked-in .github/bench-baseline.txt, and
 # gates with scripts/benchgate (>10% normalized regression at p<0.05
-# fails the lane, as does losing the bytecode engine's >=3x speedup
-# or the binary wire format's >=2x batch-upload throughput over gob).
+# fails the lane, wire upload included, as does losing the bytecode
+# engine's >=3x speedup).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,8 +51,7 @@ compare() {
   fi
   go run ./scripts/benchgate -old "$old" -new "$new" \
     -norm 'BenchmarkVMExecute/loop/treewalk' -threshold 0.10 -alpha 0.05 \
-    -ratio 'BenchmarkVMExecute/loop/treewalk,BenchmarkVMExecute/loop/bytecode,3.0' \
-    -ratio 'BenchmarkWireUpload/gob,BenchmarkWireUpload/binary,2.0'
+    -ratio 'BenchmarkVMExecute/loop/treewalk,BenchmarkVMExecute/loop/bytecode,3.0'
 }
 
 # fleet — stand up the sharded fleet tier (2 durable shards behind the

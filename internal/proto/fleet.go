@@ -20,8 +20,10 @@ package proto
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"snorlax/internal/core"
 	"snorlax/internal/ir"
@@ -45,8 +47,11 @@ const DefaultFleetQuota = 10
 // ModuleFingerprint computes a module's tenant id from its canonical
 // printed form, so layout-identical programs fingerprint equal no
 // matter which textual variant they were parsed from.
-func ModuleFingerprint(mod *ir.Module) TenantID {
-	sum := sha256.Sum256([]byte(ir.Print(mod)))
+func ModuleFingerprint(mod *ir.Module) TenantID { return textFingerprint(ir.Print(mod)) }
+
+// textFingerprint is the tenant id of a canonical module text.
+func textFingerprint(text string) TenantID {
+	sum := sha256.Sum256([]byte(text))
 	return TenantID(hex.EncodeToString(sum[:]))
 }
 
@@ -65,9 +70,24 @@ type Directive struct {
 }
 
 // tenant is one registered program and its open cases.
+//
+// A registered tenant is warm: it holds the caller's parsed module
+// from the start. A restored tenant starts cold, holding only its id
+// and the canonical text the store logged, and parses that text the
+// first time it needs its analysis server (a case opens, or a
+// restored case publishes). Tenants that only re-serve published
+// reports after a restart are never parsed.
 type tenant struct {
-	id   TenantID
-	core *core.Server
+	id TenantID
+
+	// load guards the one-time materialisation of cs (or loadErr)
+	// from text, the canonical module text, which is dropped once cs
+	// exists. After creation all three are written only inside
+	// load.Do and read only after it.
+	load    sync.Once
+	text    string
+	cs      *core.Server
+	loadErr error
 
 	nextCase CaseID
 	cases    map[CaseID]*fleetCase
@@ -88,6 +108,12 @@ type fleetCase struct {
 	// number accepted — the dedupe ledger that makes batch upload
 	// idempotent across retries.
 	seen map[string]uint64
+	// marks holds, per client with accepted traces, the sequence
+	// number of its latest accepted trace. It outlives the ledger
+	// prune at close, so an agent whose reply to its last batch was
+	// lost, and whose retry finds the case closed, still learns the
+	// mark that batch earned.
+	marks store.Marks
 	// collecting is true while the directive is armed; done flips when
 	// the diagnosis (or its error) is published.
 	collecting bool
@@ -125,41 +151,40 @@ func (s *Server) logFleet(rec *store.Record) error {
 // its id. The tenant's analysis server shares the module-identity
 // points-to cache across every connection diagnosing this program, and
 // registers its pipeline metrics on the server's one registry, so
-// fleet-wide counters aggregate across tenants.
+// fleet-wide counters aggregate across tenants. Re-registering a cold
+// (restored, not yet parsed) tenant hands it mod, so it never parses.
 func (s *Server) RegisterProgram(mod *ir.Module) (TenantID, error) {
 	s.init()
-	id := ModuleFingerprint(mod)
+	text := ir.Print(mod)
+	id := textFingerprint(text)
 	s.fleetMu.Lock()
-	defer s.fleetMu.Unlock()
-	if s.tenants[id] != nil {
-		return id, nil
+	t := s.tenants[id]
+	if t == nil {
+		if err := s.logFleet(&store.Record{Type: store.RecProgramRegistered,
+			Tenant: string(id), ModuleText: text}); err != nil {
+			s.fleetMu.Unlock()
+			return "", err
+		}
+		t = s.addTenantLocked(id, text)
 	}
-	if err := s.logFleet(&store.Record{Type: store.RecProgramRegistered,
-		Tenant: string(id), ModuleText: ir.Print(mod)}); err != nil {
-		return "", err
-	}
-	s.addTenantLocked(id, mod)
+	s.fleetMu.Unlock()
+	t.load.Do(func() { s.setTenantCore(t, mod) })
 	return id, nil
 }
 
-// addTenantLocked creates (or finds) the tenant's in-memory state
-// without logging — registration and recovery share it, the former
-// after logging the record, the latter while replaying one.
-func (s *Server) addTenantLocked(id TenantID, mod *ir.Module) *tenant {
+// addTenantLocked creates (or finds) the tenant's in-memory state,
+// cold, without logging — registration and recovery share it, the
+// former after logging the record, the latter while replaying one.
+func (s *Server) addTenantLocked(id TenantID, text string) *tenant {
 	if s.tenants == nil {
 		s.tenants = make(map[TenantID]*tenant)
 	}
 	if t, ok := s.tenants[id]; ok {
 		return t
 	}
-	cs := core.NewServer(mod)
-	cs.Workers = s.Core.Workers
-	cs.PT = s.Core.PT
-	cs.MaxSuccessTraces = s.Core.MaxSuccessTraces
-	cs.UseRegistry(s.Core.Metrics())
 	t := &tenant{
 		id:   id,
-		core: cs,
+		text: text,
 		// Case numbering starts above the shard's base, so ids from
 		// different shards never collide.
 		nextCase: CaseID(s.CaseBase),
@@ -169,6 +194,38 @@ func (s *Server) addTenantLocked(id TenantID, mod *ir.Module) *tenant {
 	s.tenants[id] = t
 	s.om.fleetTenants.Inc()
 	return t
+}
+
+// setTenantCore builds the tenant's analysis server over mod and drops
+// its text. It runs inside t.load.Do, never under fleetMu.
+func (s *Server) setTenantCore(t *tenant, mod *ir.Module) {
+	cs := core.NewServer(mod)
+	cs.Workers = s.Core.Workers
+	cs.PT = s.Core.PT
+	cs.MaxSuccessTraces = s.Core.MaxSuccessTraces
+	cs.UseRegistry(s.Core.Metrics())
+	t.cs, t.text = cs, ""
+	s.om.fleetLoaded.Inc()
+}
+
+// tenantCore returns the tenant's analysis server, parsing a cold
+// tenant's module on first use. The parse re-checks the fingerprint
+// Restore verified by hash, so no module is ever used unchecked. A
+// failed load is sticky: the text cannot change, so neither can the
+// outcome. Callers must not hold fleetMu.
+func (s *Server) tenantCore(t *tenant) (*core.Server, error) {
+	t.load.Do(func() {
+		mod, err := ir.Parse(t.text)
+		if err == nil && ModuleFingerprint(mod) != t.id {
+			err = errors.New("module text does not match fingerprint")
+		}
+		if err != nil {
+			t.loadErr = fmt.Errorf("proto: loading tenant %.12s…: %w", t.id, err)
+			return
+		}
+		s.setTenantCore(t, mod)
+	})
+	return t.cs, t.loadErr
 }
 
 // registerText parses and registers a client-uploaded program.
@@ -258,7 +315,12 @@ func (s *Server) acceptBatch(t *tenant, c *fleetCase, client string, seq uint64,
 		// against and nothing left to accept. The reply mirrors a
 		// quota-met case (zero accepted, done), so late uploaders and
 		// replays see the same shape they always did — without
-		// resurrecting ledger entries for a dead case.
+		// resurrecting ledger entries for a dead case. Only a replay of
+		// the client's last accepting batch (the one batch whose reply
+		// can still be outstanding) gets that batch's mark back.
+		if m := c.marks.Of(client); seq <= m && m < seq+uint64(len(snaps)) {
+			return 0, m, false, nil
+		}
 		return 0, 0, false, nil
 	}
 	seen, tracked := c.seen[client]
@@ -279,6 +341,7 @@ func (s *Server) acceptBatch(t *tenant, c *fleetCase, client string, seq uint64,
 			break
 		}
 		c.successes = append(c.successes, &core.RunReport{Snapshot: snap})
+		c.marks.Set(client, sq)
 		seen = sq
 		accepted++
 	}
@@ -310,8 +373,14 @@ func (s *Server) acceptBatch(t *tenant, c *fleetCase, client string, seq uint64,
 // publishes the verdict. It runs in whichever connection handler
 // crossed the quota — synchronously, so Shutdown's drain covers it —
 // and must be called exactly once per case, without the fleet lock.
-func (s *Server) publishCase(t *tenant, c *fleetCase) {
-	d, err := s.diagnose(t.core, c.failing, c.successes)
+// It loads a cold tenant first; a load error publishes nothing and is
+// returned to the caller.
+func (s *Server) publishCase(t *tenant, c *fleetCase) error {
+	cs, err := s.tenantCore(t)
+	if err != nil {
+		return err
+	}
+	d, err := s.diagnose(cs, c.failing, c.successes)
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
 	rec := &store.Record{Type: store.RecReportPublished, Tenant: string(t.id), Case: uint64(c.id)}
@@ -331,19 +400,21 @@ func (s *Server) publishCase(t *tenant, c *fleetCase) {
 	c.done = true
 	// The case is closed, so its dedup ledger can never admit another
 	// trace — prune it, or a long-lived server leaks one entry per
-	// (client, case) forever. The close record above is the logged
-	// transition: replaying it prunes the persisted ledger too, so
-	// Restore rebuilds exactly this post-prune state.
+	// (client, case) forever. Only the compact marks survive. The
+	// close record is the logged transition: replaying it prunes the
+	// persisted ledger to the same marks, so Restore rebuilds exactly
+	// this post-prune state.
 	if n := len(c.seen); n > 0 {
 		s.om.fleetLedger.Add(-int64(n))
 	}
 	c.seen = nil
 	if err != nil {
 		c.diagErr = err.Error()
-		return
+		return nil
 	}
 	c.diag = d
 	s.om.fleetReports.Inc()
+	return nil
 }
 
 // caseByID resolves a case within a tenant.
@@ -400,6 +471,12 @@ func (s *Server) serveFleetRequest(req Request, reply func(Response) bool) bool 
 			s.om.oversizeRejects.Inc()
 			return reply(Response{Kind: "error", Err: fmt.Sprintf("failure snapshot exceeds %d-byte cap", cap)})
 		}
+		// A case needs its tenant's module: load a cold tenant before
+		// anything is logged, so a module that fails its checks opens
+		// no case.
+		if _, err := s.tenantCore(t); err != nil {
+			return reply(Response{Kind: "error", Err: err.Error()})
+		}
 		c, err := s.openCase(t, req.Failure, req.Snapshot)
 		if err != nil {
 			return reply(Response{Kind: "error", Err: err.Error()})
@@ -440,7 +517,9 @@ func (s *Server) serveFleetRequest(req Request, reply func(Response) bool) bool 
 			return reply(Response{Kind: "error", Err: err.Error()})
 		}
 		if crossed {
-			s.publishCase(t, c)
+			if err := s.publishCase(t, c); err != nil {
+				return reply(Response{Kind: "error", Err: err.Error()})
+			}
 		}
 		s.fleetMu.Lock()
 		resp := Response{Kind: "batch", Tenant: t.id, Case: c.id,
@@ -534,8 +613,9 @@ func (c *Conn) UploadBatch(t TenantID, id CaseID, pc ir.PC, client string, seq u
 // agent whose reply was lost in transit can reconcile its accepted
 // count against the mark instead of trusting the replay's Accepted
 // (which is 0 by design — replays never consume quota twice). ledger
-// is 0 when the server has no mark, i.e. the case closed and its
-// ledger was pruned; callers then fall back to accepted.
+// is 0 when the server has no mark: the case closed and this is not a
+// replay of the client's last accepting batch, so callers fall back
+// to accepted.
 func (c *Conn) UploadBatchLedger(t TenantID, id CaseID, pc ir.PC, client string, seq uint64, snaps []*pt.Snapshot) (accepted int, ledger uint64, done bool, err error) {
 	resp, err := c.roundTrip(Request{Kind: "batch", Tenant: t, Case: id,
 		RoutePC: pc, Routed: true,

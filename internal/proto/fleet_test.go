@@ -21,7 +21,14 @@ type fleetFixture struct {
 
 func newFleetFixture(t *testing.T, want int) *fleetFixture {
 	t.Helper()
-	bug := corpus.ByID("pbzip2-1")
+	return newFleetFixtureFor(t, "pbzip2-1", want)
+}
+
+// newFleetFixtureFor is newFleetFixture for any corpus bug whose
+// success runs reach its failure PC.
+func newFleetFixtureFor(t *testing.T, bugID string, want int) *fleetFixture {
+	t.Helper()
+	bug := corpus.ByID(bugID)
 	failInst := bug.Build(corpus.Variant{Failing: true})
 	rep := core.NewClient(failInst.Mod).Run(1, ir.NoPC)
 	if !rep.Failed() {

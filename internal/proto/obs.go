@@ -30,7 +30,11 @@ const (
 	MetricRequestSeconds  = "snorlax_request_seconds"
 
 	// Fleet-mode registry gauges (see fleet.go).
-	MetricFleetTenants         = "snorlax_fleet_tenants"
+	MetricFleetTenants = "snorlax_fleet_tenants"
+	// MetricFleetTenantsLoaded gauges tenants whose module is parsed
+	// and analysis server built; restored tenants stay unloaded until
+	// their first case needs them.
+	MetricFleetTenantsLoaded   = "snorlax_fleet_tenants_loaded"
 	MetricFleetArmedDirectives = "snorlax_fleet_armed_directives"
 	MetricFleetQuotaHave       = "snorlax_fleet_quota_have"
 	MetricFleetQuotaWant       = "snorlax_fleet_quota_want"
@@ -107,6 +111,7 @@ type protoMetrics struct {
 	requests        map[string]requestMetrics
 
 	fleetTenants   *obs.Gauge
+	fleetLoaded    *obs.Gauge
 	fleetArmed     *obs.Gauge
 	fleetQuotaHave *obs.Gauge
 	fleetQuotaWant *obs.Gauge
@@ -138,6 +143,8 @@ func newProtoMetrics(reg *obs.Registry) *protoMetrics {
 		requests: make(map[string]requestMetrics, len(requestKinds)),
 		fleetTenants: reg.Gauge(MetricFleetTenants,
 			"Programs registered as fleet tenants."),
+		fleetLoaded: reg.Gauge(MetricFleetTenantsLoaded,
+			"Fleet tenants whose module is parsed and analysis server built."),
 		fleetArmed: reg.Gauge(MetricFleetArmedDirectives,
 			"Collection directives currently armed (cases still collecting)."),
 		fleetQuotaHave: reg.Gauge(MetricFleetQuotaHave,

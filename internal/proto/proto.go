@@ -120,7 +120,8 @@ type Response struct {
 	// return the same mark as the original, so an agent whose reply
 	// was lost in transit reconciles its accepted count against Seq
 	// instead of double- or under-counting. 0 means no mark is
-	// available (the case closed and its ledger was pruned).
+	// available (the case closed and its ledger was pruned, and this
+	// is not a replay of the client's last accepting batch).
 	Seq uint64
 }
 

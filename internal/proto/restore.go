@@ -5,13 +5,13 @@ import (
 	"sort"
 
 	"snorlax/internal/core"
-	"snorlax/internal/ir"
 	"snorlax/internal/store"
 )
 
 // Restore rebuilds the fleet server's in-memory state from the state
-// a durable store replayed at open: tenants are re-registered (their
-// module text re-parsed and fingerprint-verified), cases re-armed with
+// a durable store replayed at open: tenants are re-registered cold
+// (their module text verified by hashing it against the tenant id,
+// and parsed only when a case first needs it), cases re-armed with
 // their accepted traces and per-client dedup ledgers intact, and
 // published reports re-served from disk without re-running diagnosis.
 // Call it once, after setting Store and before serving.
@@ -36,17 +36,12 @@ func (s *Server) Restore(st *store.State) error {
 	var publish []deferredPublish
 	s.fleetMu.Lock()
 	for _, p := range st.Programs {
-		mod, err := ir.Parse(p.ModuleText)
-		if err != nil {
-			s.fleetMu.Unlock()
-			return fmt.Errorf("proto: restoring tenant %.12s…: %w", p.Tenant, err)
-		}
 		id := TenantID(p.Tenant)
-		if ModuleFingerprint(mod) != id {
+		if textFingerprint(p.ModuleText) != id {
 			s.fleetMu.Unlock()
 			return fmt.Errorf("proto: restoring tenant %.12s…: module text does not match fingerprint", p.Tenant)
 		}
-		t := s.addTenantLocked(id, mod)
+		t := s.addTenantLocked(id, p.ModuleText)
 		if n := CaseID(p.NextCase); n > t.nextCase {
 			t.nextCase = n
 		}
@@ -69,14 +64,19 @@ func (s *Server) Restore(st *store.State) error {
 				done:       cs.Done,
 				diag:       cs.Diagnosis,
 				diagErr:    cs.DiagErr,
+				// Read-only once the case is closed, so it can share
+				// the state's slice.
+				marks: cs.Marks,
 			}
 			// A closed case's ledger was pruned when the close record was
 			// replayed; keep it nil here so restored state is identical to
-			// the live server's post-publish state.
+			// the live server's post-publish state. An open case's logged
+			// ledger holds only accepted traces, so it is also its marks.
 			if !cs.Done {
 				c.seen = make(map[string]uint64, len(cs.Clients))
 				for client, seq := range cs.Clients {
 					c.seen[client] = seq
+					c.marks = append(c.marks, store.Mark{Client: client, Seq: seq})
 				}
 			}
 			for _, snap := range cs.Successes {
@@ -127,9 +127,12 @@ func (s *Server) Restore(st *store.State) error {
 	s.fleetMu.Unlock()
 	// Quota met before the crash but no verdict in the log: diagnose
 	// now, outside the lock, exactly like the batch handler that would
-	// have crossed the quota.
+	// have crossed the quota. This is the one place Restore parses a
+	// module, and a module that fails its checks fails Restore.
 	for _, d := range publish {
-		s.publishCase(d.t, d.c)
+		if err := s.publishCase(d.t, d.c); err != nil {
+			return err
+		}
 	}
 	s.restored.Store(true)
 	return nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sort"
 
 	"snorlax/internal/core"
 	"snorlax/internal/ir"
@@ -52,6 +53,10 @@ type CaseState struct {
 	// Clients is the per-client dedup ledger: highest accepted
 	// sequence number per uploader.
 	Clients map[string]uint64
+	// Marks is what the close keeps of Clients: each client's final
+	// mark, so a replay of a client's last batch gets the same reply
+	// from a restored server as from the live one.
+	Marks Marks
 	// Collecting is true while the directive is armed; Done flips with
 	// the case-closed record.
 	Collecting bool
@@ -60,6 +65,39 @@ type CaseState struct {
 	// got that far before the log ended.
 	Diagnosis *core.Diagnosis
 	DiagErr   string
+}
+
+// Mark is one client's ledger entry on a case: the sequence number of
+// its latest accepted trace.
+type Mark struct {
+	Client string
+	Seq    uint64
+}
+
+// Marks holds a case's marks, one per client with accepted traces, so
+// at most the case's quota of them. A slice, not a map: it stays on
+// every closed case, and a linear scan of a few entries is cheap.
+type Marks []Mark
+
+// Of returns client's mark, or 0.
+func (ms Marks) Of(client string) uint64 {
+	for _, m := range ms {
+		if m.Client == client {
+			return m.Seq
+		}
+	}
+	return 0
+}
+
+// Set records seq as client's mark.
+func (ms *Marks) Set(client string, seq uint64) {
+	for i := range *ms {
+		if (*ms)[i].Client == client {
+			(*ms)[i].Seq = seq
+			return
+		}
+	}
+	*ms = append(*ms, Mark{Client: client, Seq: seq})
 }
 
 // NewState returns an empty fleet state.
@@ -185,9 +223,16 @@ func (st *State) apply(rec *Record) error {
 		c.Done = true
 		c.Collecting = false
 		// A closed case can never admit another trace, so its dedup
-		// ledger is pruned — the live server drops it at publish, and
-		// replayed state must land on the same shape.
-		c.Clients = nil
+		// ledger is pruned to the compact marks — the live server does
+		// the same at publish, and replayed state must land on the
+		// same shape.
+		if c.Clients != nil {
+			for client, seq := range c.Clients {
+				c.Marks = append(c.Marks, Mark{Client: client, Seq: seq})
+			}
+			sort.Slice(c.Marks, func(i, j int) bool { return c.Marks[i].Client < c.Marks[j].Client })
+			c.Clients = nil
+		}
 	default:
 		return fmt.Errorf("unknown record type %d", uint8(rec.Type))
 	}

@@ -76,6 +76,9 @@ func describeState(st *State) string {
 			for _, cl := range clients {
 				fmt.Fprintf(&b, "  client %s seq %d\n", cl, c.Clients[cl])
 			}
+			for _, m := range c.Marks {
+				fmt.Fprintf(&b, "  mark %s seq %d\n", m.Client, m.Seq)
+			}
 		}
 	}
 	return b.String()
@@ -627,5 +630,23 @@ func TestStatsMatchSharedRegistry(t *testing.T) {
 		t.Errorf("histogram %s missing from the shared registry", MetricStoreRecordBytes)
 	} else if got := m.Histogram.Count(); got != st.AppendedRecords {
 		t.Errorf("%s count = %d, want %d observations", MetricStoreRecordBytes, got, st.AppendedRecords)
+	}
+}
+
+// TestCloseKeepsFinalMarks: closing a case prunes its dedup ledger to
+// each client's final mark, sorted by client, and a repeated close
+// keeps them.
+func TestCloseKeepsFinalMarks(t *testing.T) {
+	recs := lifecycle(testTenant, 3)
+	// Re-attribute the second accept to another client.
+	recs[3].Client, recs[3].Seq = "agent-1", 5
+	recs = append(recs, &Record{Type: RecCaseClosed, Tenant: testTenant, Case: 1})
+	c := replayState(t, recs).Program(testTenant).Cases[1]
+	want := Marks{{Client: "agent-0", Seq: 3}, {Client: "agent-1", Seq: 5}}
+	if c.Clients != nil || fmt.Sprint(c.Marks) != fmt.Sprint(want) {
+		t.Errorf("closed case: clients %v, marks %v; want nil, %v", c.Clients, c.Marks, want)
+	}
+	if c.Marks.Of("agent-1") != 5 || c.Marks.Of("agent-2") != 0 {
+		t.Errorf("Marks.Of = (%d, %d), want (5, 0)", c.Marks.Of("agent-1"), c.Marks.Of("agent-2"))
 	}
 }

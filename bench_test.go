@@ -177,7 +177,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 	b.ResetTimer()
 	var decoded int
 	for i := 0; i < b.N; i++ {
-		traces, err := pt.DecodeSnapshot(mod, snap, pt.Config{}, nil)
+		traces, err := pt.DecodeSnapshot(mod, snap, pt.Config{}, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -426,7 +426,7 @@ func BenchmarkAblationRingBuffer(b *testing.B) {
 					b.Fatal(res.Failure)
 				}
 				snap := enc.Snapshot()
-				traces, err := pt.DecodeSnapshot(mod, snap, cfg, nil)
+				traces, err := pt.DecodeSnapshot(mod, snap, cfg, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -482,7 +482,7 @@ func BenchmarkAblationTimingFrequency(b *testing.B) {
 				if res := vm.Run(mod, vm.Config{Seed: 1, Sink: enc}); res.Failed() {
 					b.Fatal(res.Failure)
 				}
-				traces, err := pt.DecodeSnapshot(mod, enc.Snapshot(), cfg, nil)
+				traces, err := pt.DecodeSnapshot(mod, enc.Snapshot(), cfg, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -563,7 +563,7 @@ func BenchmarkHybridVsWholeProgramAnalysis(b *testing.B) {
 		b.Fatal("expected failure")
 	}
 	traces, err := pt.DecodeSnapshot(inst.Mod, rep.Snapshot, pt.Config{},
-		map[int]ir.PC{rep.Failure.Tid: rep.Failure.PC})
+		map[int]ir.PC{rep.Failure.Tid: rep.Failure.PC}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

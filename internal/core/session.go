@@ -56,6 +56,27 @@ type Outcome struct {
 
 // Run executes the full loop.
 func (s *Session) Run() (*Outcome, error) {
+	failing, successes, trigger, runs, err := s.collect()
+	if err != nil {
+		return nil, err
+	}
+	d, err := s.Server.Diagnose(failing, successes)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{
+		Diagnosis:      d,
+		FailuresNeeded: 1,
+		RunsToFailure:  runs,
+		Failure:        failing.Failure,
+		TriggerPC:      trigger,
+	}, nil
+}
+
+// collect runs steps 1 and 8: it executes FailMod until a failure,
+// then gathers successful OkMod traces triggered at the failure PC (or
+// a predecessor, see Run). runs counts executions until the failure.
+func (s *Session) collect() (failing *RunReport, successes []*RunReport, trigger ir.PC, runs int, err error) {
 	seeds := s.Seeds
 	if len(seeds) == 0 {
 		for i := int64(1); i <= 20; i++ {
@@ -63,8 +84,6 @@ func (s *Session) Run() (*Outcome, error) {
 		}
 	}
 	failClient := &Client{Mod: s.FailMod, PT: s.Server.PT}
-	var failing *RunReport
-	runs := 0
 	for _, seed := range seeds {
 		runs++
 		rep := failClient.Run(seed, ir.NoPC)
@@ -74,7 +93,7 @@ func (s *Session) Run() (*Outcome, error) {
 		}
 	}
 	if failing == nil {
-		return nil, fmt.Errorf("core: no failure within %d runs", runs)
+		return nil, nil, ir.NoPC, runs, fmt.Errorf("core: no failure within %d runs", runs)
 	}
 
 	want := s.SuccessRuns
@@ -85,8 +104,7 @@ func (s *Session) Run() (*Outcome, error) {
 		}
 	}
 	okClient := &Client{Mod: s.OkMod, PT: s.Server.PT}
-	trigger := failing.Failure.PC
-	var successes []*RunReport
+	trigger = failing.Failure.PC
 	for seed := int64(1); len(successes) < want && seed <= int64(want*4); seed++ {
 		rep := okClient.Run(seed+1000, trigger)
 		if rep.Failed() {
@@ -104,18 +122,7 @@ func (s *Session) Run() (*Outcome, error) {
 		}
 		successes = append(successes, rep)
 	}
-
-	d, err := s.Server.Diagnose(failing, successes)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{
-		Diagnosis:      d,
-		FailuresNeeded: 1,
-		RunsToFailure:  runs,
-		Failure:        failing.Failure,
-		TriggerPC:      trigger,
-	}, nil
+	return failing, successes, trigger, runs, nil
 }
 
 // predecessorTrigger returns the first PC of a predecessor block of

@@ -55,7 +55,7 @@ func Table4(reps int) ([]Table4Row, float64) {
 			continue
 		}
 		stop := map[int]ir.PC{rep.Failure.Tid: rep.Failure.PC}
-		traces, err := pt.DecodeSnapshot(failInst.Mod, rep.Snapshot, pt.Config{}, stop)
+		traces, err := pt.DecodeSnapshot(failInst.Mod, rep.Snapshot, pt.Config{}, stop, nil)
 		if err != nil {
 			continue
 		}

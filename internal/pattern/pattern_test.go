@@ -80,7 +80,7 @@ func runTraced(t testing.TB, mod *ir.Module, seed int64, trigger ir.PC) (*vm.Res
 func diagnose(t testing.TB, mod *ir.Module, fail *vm.Failure, snap *pt.Snapshot) ([]*pattern.Pattern, *traceproc.Trace) {
 	t.Helper()
 	stop := map[int]ir.PC{fail.Thread: fail.PC}
-	traces, err := pt.DecodeSnapshot(mod, snap, pt.Config{}, stop)
+	traces, err := pt.DecodeSnapshot(mod, snap, pt.Config{}, stop, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func diagnose(t testing.TB, mod *ir.Module, fail *vm.Failure, snap *pt.Snapshot)
 
 func processSnapshot(t testing.TB, mod *ir.Module, snap *pt.Snapshot) *traceproc.Trace {
 	t.Helper()
-	traces, err := pt.DecodeSnapshot(mod, snap, pt.Config{}, nil)
+	traces, err := pt.DecodeSnapshot(mod, snap, pt.Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestFuzzCorpusReplay(t *testing.T) {
 
 			// The corpus bytes exactly as checked in.
 			tt, err := Decode(mod, 0, SnapshotThread{Data: data, Wrapped: wrapped},
-				Config{}, ir.NoPC, 0)
+				Config{}, ir.NoPC, 0, nil)
 			check(t, tt, err)
 
 			// Through a lossless ring: the snapshot must be
@@ -177,7 +177,7 @@ func TestFuzzCorpusReplay(t *testing.T) {
 				t.Fatalf("lossless ring altered the stream")
 			}
 			tt, err = Decode(mod, 0, SnapshotThread{Data: snapData, Wrapped: snapWrapped || wrapped},
-				Config{}, ir.NoPC, 0)
+				Config{}, ir.NoPC, 0, nil)
 			check(t, tt, err)
 
 			// Through a small ring that forces overwrite: the decoder
@@ -187,7 +187,7 @@ func TestFuzzCorpusReplay(t *testing.T) {
 			fill(small, data)
 			tail, tailWrapped := small.snapshot()
 			tt, err = Decode(mod, 0, SnapshotThread{Data: tail, Wrapped: tailWrapped},
-				Config{}, ir.NoPC, 0)
+				Config{}, ir.NoPC, 0, nil)
 			check(t, tt, err)
 		})
 	}
@@ -200,7 +200,7 @@ func TestFuzzCorpusReplay(t *testing.T) {
 // happens to reject.
 func TestEncoderRingDecoderRoundTrip(t *testing.T) {
 	mod, snap := seedSnapshot(t)
-	traces, err := DecodeSnapshot(mod, snap, Config{}, nil)
+	traces, err := DecodeSnapshot(mod, snap, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

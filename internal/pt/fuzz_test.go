@@ -75,7 +75,7 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, wrapped bool) {
 		tt, err := Decode(mod, 0, SnapshotThread{Data: data, Wrapped: wrapped},
-			Config{}, ir.NoPC, 0)
+			Config{}, ir.NoPC, 0, nil)
 		if err != nil {
 			return
 		}

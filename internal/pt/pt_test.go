@@ -297,7 +297,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if st.Wrapped {
 				t.Fatalf("seed %d: thread %d wrapped with default 64KB buffer", seed, tid)
 			}
-			tt, err := Decode(m, tid, st, Config{}, ir.NoPC, res.Time)
+			tt, err := Decode(m, tid, st, Config{}, ir.NoPC, res.Time, nil)
 			if err != nil {
 				t.Fatalf("seed %d thread %d: decode: %v", seed, tid, err)
 			}
@@ -326,7 +326,7 @@ func TestDecodedTimestampsTrackReality(t *testing.T) {
 	}
 	snap := enc.Snapshot()
 	for tid, st := range snap.Threads {
-		tt, err := Decode(m, tid, st, Config{}, ir.NoPC, res.Time)
+		tt, err := Decode(m, tid, st, Config{}, ir.NoPC, res.Time, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestDecodeWrappedRing(t *testing.T) {
 			continue
 		}
 		anyWrapped = true
-		tt, err := Decode(m, tid, st, Config{BufBytes: 256}, ir.NoPC, res.Time)
+		tt, err := Decode(m, tid, st, Config{BufBytes: 256}, ir.NoPC, res.Time, nil)
 		if err != nil {
 			t.Fatalf("thread %d: %v", tid, err)
 		}
@@ -500,7 +500,7 @@ entry:
 		}
 	})
 	snap := enc.Snapshot()
-	tt, err := Decode(m, 0, snap.Threads[0], Config{}, secondStore, res.Time)
+	tt, err := Decode(m, 0, snap.Threads[0], Config{}, secondStore, res.Time, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestRandomizedEncodeDecode(t *testing.T) {
 		}
 		snap := enc.Snapshot()
 		for tid, st := range snap.Threads {
-			tt, err := Decode(m, tid, st, cfg, ir.NoPC, res.Time)
+			tt, err := Decode(m, tid, st, cfg, ir.NoPC, res.Time, nil)
 			if err != nil {
 				t.Fatalf("trial %d thread %d: %v", trial, tid, err)
 			}

@@ -2,6 +2,8 @@ package traceproc
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"snorlax/internal/ir"
@@ -167,6 +169,96 @@ func TestBeforeTransitiveCrossThread(t *testing.T) {
 		a, b, c := mk(0), mk(1), mk(2)
 		if Before(a, b) && Before(b, c) && !Before(a, c) {
 			t.Fatalf("cross-thread transitivity broken: %+v %+v %+v", a, b, c)
+		}
+	}
+}
+
+// sortedReference is the order Merge must produce, computed the
+// obvious way: every event, sorted by (Time, Tid, Seq).
+func sortedReference(traces []*pt.ThreadTrace) []DynEvent {
+	var out []DynEvent
+	for _, tt := range traces {
+		for i, di := range tt.Instrs {
+			seq := i
+			if tt.Seqs != nil {
+				seq = tt.Seqs[i]
+			}
+			out = append(out, DynEvent{Tid: tt.Tid, Seq: seq, PC: di.PC, Time: di.Time, Uncert: di.Uncert})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Tid != b.Tid {
+			return a.Tid < b.Tid
+		}
+		return a.Seq < b.Seq
+	})
+	return out
+}
+
+// randomStreams builds 1-5 threads of non-decreasing timestamps drawn
+// from a small range, so cross-thread time ties are common. Half the
+// threads carry gapped Seqs, as a watched decode produces.
+func randomStreams(rng *rand.Rand) []*pt.ThreadTrace {
+	var traces []*pt.ThreadTrace
+	for _, tid := range rng.Perm(5)[:1+rng.Intn(5)] {
+		tt := &pt.ThreadTrace{Tid: tid}
+		now, seq := int64(rng.Intn(5)), 0
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			now += int64(rng.Intn(3)) // 0 keeps a tie with the previous event
+			seq += 1 + rng.Intn(3)
+			tt.Instrs = append(tt.Instrs, pt.DynInstr{PC: ir.PC(rng.Intn(8)), Time: now, Uncert: int64(rng.Intn(4))})
+			tt.Seqs = append(tt.Seqs, seq)
+		}
+		if tid%2 == 0 {
+			tt.Seqs = nil
+		}
+		traces = append(traces, tt)
+	}
+	return traces
+}
+
+func TestMergeEqualsSortOnMonotoneStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		traces := randomStreams(rng)
+		want := sortedReference(traces)
+		if got := Merge(traces).Events; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: merge\n %v\nwant\n %v", trial, got, want)
+		}
+	}
+}
+
+func TestMergeTimeTieGoesToLowerTid(t *testing.T) {
+	hi := &pt.ThreadTrace{Tid: 7, Instrs: []pt.DynInstr{{PC: 1, Time: 100}, {PC: 2, Time: 100}}}
+	lo := &pt.ThreadTrace{Tid: 3, Instrs: []pt.DynInstr{{PC: 3, Time: 100}, {PC: 4, Time: 200}}}
+	var got []ir.PC
+	for _, ev := range Merge([]*pt.ThreadTrace{hi, lo}).Events {
+		got = append(got, ev.PC)
+	}
+	if want := []ir.PC{3, 1, 2, 4}; !slices.Equal(got, want) {
+		t.Errorf("merged PCs %v, want %v", got, want)
+	}
+}
+
+func TestMergeFallsBackToSortOnNonMonotoneStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		traces := randomStreams(rng)
+		// Move one event of one non-empty stream back in time.
+		for _, tt := range traces {
+			if len(tt.Instrs) > 1 {
+				i := 1 + rng.Intn(len(tt.Instrs)-1)
+				tt.Instrs[i].Time = tt.Instrs[i-1].Time - 1 - int64(rng.Intn(5))
+				break
+			}
+		}
+		want := sortedReference(traces)
+		if got := Merge(traces).Events; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: merge\n %v\nwant\n %v", trial, got, want)
 		}
 	}
 }

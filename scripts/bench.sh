@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# bench.sh — record or compare the VM execution benchmarks with a
-# fixed, repeatable discipline (one pattern, one package, -count=6,
-# -benchmem), so any two result files are comparable by benchstat or
-# scripts/benchgate.
+# bench.sh — record or compare the gated layer benchmarks (VM
+# execution, wire upload, and the root package's success-trace
+# diagnosis and trace decode) with a fixed, repeatable discipline (one
+# pattern per package, -count=6, -benchmem), so any two result files
+# are comparable by benchstat or scripts/benchgate.
 #
 # Usage:
 #   scripts/bench.sh record [out.txt]           write fresh numbers (default bench-new.txt)
@@ -18,8 +19,8 @@
 # The perf CI lane records bench-head.txt, renders a benchstat report
 # artifact against the checked-in .github/bench-baseline.txt, and
 # gates with scripts/benchgate (>10% normalized regression at p<0.05
-# fails the lane, wire upload included, as does losing the bytecode
-# engine's >=3x speedup).
+# fails the lane, wire upload and the root benchmarks included, as does
+# losing the bytecode engine's >=3x speedup).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,15 +29,27 @@ PATTERN="${BENCH_PATTERN:-^BenchmarkVMExecute$}"
 PKG="${BENCH_PKG:-./internal/vm}"
 WIRE_PATTERN="${WIRE_PATTERN-^BenchmarkWireUpload$}"
 WIRE_PKG="${WIRE_PKG:-./internal/shard}"
+# The root package's layer benchmarks: success-trace diagnosis and
+# trace decode. A sub-benchmark pattern skips benchmarks that have no
+# sub-benchmarks, so each gets its own run.
+ROOT_PATTERNS=('^BenchmarkDiagnoseManySuccesses$/^serial$' '^BenchmarkTraceDecode$')
+
+# bench_one <pattern> <pkg> appends one package's benchmark run to $out.
+bench_one() {
+  echo "recording: go test -run '^\$' -bench '$1' -count $COUNT -benchmem $2" >&2
+  go test -run '^$' -bench "$1" -count "$COUNT" -benchmem "$2" | tee -a "$out"
+}
 
 record() {
-  local out="${1:-bench-new.txt}"
-  echo "recording: go test -run '^\$' -bench '$PATTERN' -count $COUNT -benchmem $PKG" >&2
-  go test -run '^$' -bench "$PATTERN" -count "$COUNT" -benchmem "$PKG" | tee "$out"
+  out="${1:-bench-new.txt}"
+  : >"$out"
+  bench_one "$PATTERN" "$PKG"
   if [ -n "$WIRE_PATTERN" ]; then
-    echo "recording: go test -run '^\$' -bench '$WIRE_PATTERN' -count $COUNT -benchmem $WIRE_PKG" >&2
-    go test -run '^$' -bench "$WIRE_PATTERN" -count "$COUNT" -benchmem "$WIRE_PKG" | tee -a "$out"
+    bench_one "$WIRE_PATTERN" "$WIRE_PKG"
   fi
+  for pat in "${ROOT_PATTERNS[@]}"; do
+    bench_one "$pat" .
+  done
 }
 
 compare() {

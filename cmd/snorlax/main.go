@@ -14,12 +14,11 @@
 //	snorlax -serve :7007 -fleet
 //	snorlax -remote :7007 -bug pbzip2-1 -agent 4
 //
-// Sharded fleet tier (router + durable shards + load generator):
+// Sharded fleet tier (router + durable shards):
 //
 //	snorlax -serve :7101 -fleet -state-dir /var/lib/snorlax/s0 -case-base 0
 //	snorlax -serve :7102 -fleet -state-dir /var/lib/snorlax/s1 -case-base 4294967296
 //	snorlax -route :7100 -shards "s0=127.0.0.1:7101,s1=127.0.0.1:7102"
-//	snorlax -loadgen 127.0.0.1:7100 -load-agents 1000 -bench-out BENCH_fleet.json
 package main
 
 import (
@@ -71,10 +70,6 @@ func main() {
 	switch {
 	case *route != "":
 		runRouter(*route)
-	case *loadgen != "":
-		if !runLoadgen(*loadgen) {
-			os.Exit(1)
-		}
 	case *serve != "":
 		runServer(*serve)
 	case *remote != "" && *agents > 0:

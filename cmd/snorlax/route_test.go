@@ -1,14 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
-	"snorlax/internal/fleet"
 	"snorlax/internal/shard"
 )
 
@@ -69,63 +64,5 @@ func TestParseMembers(t *testing.T) {
 				t.Errorf("parseMembers(%q) = %+v, want %+v", tc.spec, got, tc.want)
 			}
 		})
-	}
-}
-
-// TestWriteFleetBench pins the BENCH_fleet.json discipline: a fresh
-// file gets the description plus one entry, a second run appends
-// rather than overwrites, and an unrelated file is refused instead of
-// clobbered.
-func TestWriteFleetBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	st := fleet.LoadStats{
-		Agents:         100,
-		Programs:       2,
-		Duration:       2 * time.Second,
-		Uploaded:       40,
-		Accepted:       20,
-		AcceptedPerSec: 10,
-		Reports:        2,
-		ReportsPerMin:  60,
-		DirectiveP50:   5 * time.Millisecond,
-		DirectiveP99:   20 * time.Millisecond,
-	}
-	if err := writeFleetBench(path, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFleetBench(path, st); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f fleetBenchFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatalf("recorded file is not valid JSON: %v", err)
-	}
-	if f.Description == "" {
-		t.Error("recorded file has no description")
-	}
-	if len(f.Entries) != 2 {
-		t.Fatalf("two runs recorded %d entries, want 2", len(f.Entries))
-	}
-	e := f.Entries[1]
-	if e.Agents != 100 || e.Accepted != 20 || e.Reports != 2 {
-		t.Errorf("entry = %+v, want agents=100 accepted=20 reports=2", e)
-	}
-	if e.DirectiveP99Ms != 20 {
-		t.Errorf("DirectiveP99Ms = %v, want 20", e.DirectiveP99Ms)
-	}
-	if e.Go == "" || e.Date == "" {
-		t.Errorf("entry missing go/date stamps: %+v", e)
-	}
-
-	junk := filepath.Join(t.TempDir(), "notes.json")
-	if err := os.WriteFile(junk, []byte("not a bench file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFleetBench(junk, st); err == nil {
-		t.Error("writeFleetBench clobbered a non-bench file without error")
 	}
 }

@@ -123,115 +123,6 @@ type FleetResult struct {
 	Uploaded, Accepted int
 }
 
-// FleetProgram pairs the two builds a load-generated fleet runs: the
-// deployed build whose failure agents report, and the successful
-// build they trace on the server's directive.
-type FleetProgram struct {
-	Fail, OK *Program
-}
-
-// FleetLoadConfig tunes RunFleetLoad, the fleet-scale load generator.
-type FleetLoadConfig struct {
-	// Context, when non-nil, aborts the whole run when done.
-	Context context.Context
-	// Agents is the total number of simulated agents (default 1000);
-	// agent i drives program i mod len(programs).
-	Agents int
-	// Concurrency bounds simultaneously connected agents (default 64).
-	Concurrency int
-	// BatchSize is snapshots per upload (default 2).
-	BatchSize int
-	// MaxAttempts bounds transport retries per operation (default 8) —
-	// the budget that carries agents across shard failovers.
-	MaxAttempts int
-	// OpTimeout bounds each round trip and the final report poll
-	// (default 30s).
-	OpTimeout time.Duration
-	// PollInterval is the directive/report re-poll pace (default 2ms).
-	PollInterval time.Duration
-	// SeedBase offsets the deterministic per-agent randomness
-	// (default 1).
-	SeedBase int64
-	// Stagger delays program p's agents by p*Stagger, opening cases in
-	// waves rather than one thundering herd (default 0).
-	Stagger time.Duration
-	// TailAlpha shapes the heavy-tailed per-agent failure-report count
-	// (Pareto; smaller = heavier tail; default 1.5).
-	TailAlpha float64
-}
-
-// FleetLoadStats is a load run's headline numbers: admission
-// throughput, report publication rate, and directive-poll latency
-// percentiles.
-type FleetLoadStats = fleet.LoadStats
-
-// FleetLoadCase is one program's outcome under load.
-type FleetLoadCase struct {
-	Tenant    TenantID
-	Case      CaseID
-	TriggerPC PC
-	// Report is the published diagnosis every agent of this program
-	// fetched, rendered against the program's failing build.
-	Report *Report
-	// Uploaded and Accepted count the program's snapshots before and
-	// after server-side dedup and quota.
-	Uploaded, Accepted int
-	// Agents drove this program; FailureReports is their total
-	// (heavy-tailed) fleet-failure report count.
-	Agents, FailureReports int
-}
-
-// FleetLoadResult is the load generator's collective outcome.
-type FleetLoadResult struct {
-	Stats FleetLoadStats
-	Cases []FleetLoadCase
-}
-
-// RunFleetLoad drives cfg.Agents simulated agents, spread across the
-// given programs, against the fleet tier at addr — a single fleet
-// server or a shard router — and blocks until every program's report
-// is published and fetched by all of its agents. Each program is one
-// tenant with one diagnosis case; per-program trace material is
-// reproduced once and replayed over the wire, so the run's cost is
-// dominated by protocol traffic, not VM time.
-func RunFleetLoad(network, addr string, programs []FleetProgram, cfg FleetLoadConfig) (*FleetLoadResult, error) {
-	ps := make([]fleet.Program, len(programs))
-	for i, p := range programs {
-		ps[i] = fleet.Program{Fail: p.Fail.mod, OK: p.OK.mod}
-	}
-	res, err := fleet.RunLoad(fleet.LoadConfig{
-		Dial:         func() (net.Conn, error) { return net.Dial(network, addr) },
-		Context:      cfg.Context,
-		Agents:       cfg.Agents,
-		Programs:     ps,
-		Concurrency:  cfg.Concurrency,
-		BatchSize:    cfg.BatchSize,
-		MaxAttempts:  cfg.MaxAttempts,
-		OpTimeout:    cfg.OpTimeout,
-		PollInterval: cfg.PollInterval,
-		SeedBase:     cfg.SeedBase,
-		Stagger:      cfg.Stagger,
-		TailAlpha:    cfg.TailAlpha,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &FleetLoadResult{Stats: res.Stats}
-	for i, c := range res.Cases {
-		out.Cases = append(out.Cases, FleetLoadCase{
-			Tenant:         c.Tenant,
-			Case:           c.Case,
-			TriggerPC:      c.TriggerPC,
-			Report:         newReport(programs[i].Fail, c.Diagnosis),
-			Uploaded:       c.Uploaded,
-			Accepted:       c.Accepted,
-			Agents:         c.Agents,
-			FailureReports: c.FailureReports,
-		})
-	}
-	return out, nil
-}
-
 // RunFleet simulates a production fleet against a fleet-mode server at
 // addr: Clients agents register failing (the deployed build, and the
 // program under diagnosis), reproduce its failure, report it — joining

@@ -321,7 +321,7 @@ func (s *Server) Diagnose(failing *RunReport, successes []*RunReport) (*Diagnosi
 			dCands := ranking.Rank(s.Mod, deep, ranking.MemAccesses, analysis, scope)
 			pats = append(pats, pattern.Compute(s.Mod, dfi, dCands, failTrace, s.Pattern)...)
 		}
-		pats = dedupePatterns(pats)
+		pats = pattern.Dedupe(pats)
 	}
 
 	// Extension (§7 future work): a violated invariant over several
@@ -453,24 +453,6 @@ func (s *Server) deepAnchors(anchorPC ir.PC, analysis ranking.Analysis, scope po
 			})
 		}
 		frontier = next
-	}
-	return out
-}
-
-// dedupePatterns merges patterns with identical keys, keeping the
-// best rank.
-func dedupePatterns(pats []*pattern.Pattern) []*pattern.Pattern {
-	seen := map[string]*pattern.Pattern{}
-	var out []*pattern.Pattern
-	for _, p := range pats {
-		if prev, ok := seen[p.Key()]; ok {
-			if p.Rank < prev.Rank {
-				prev.Rank = p.Rank
-			}
-			continue
-		}
-		seen[p.Key()] = p
-		out = append(out, p)
 	}
 	return out
 }

@@ -58,9 +58,6 @@ type Config struct {
 	SeedBase int64
 	// MaxAttempts bounds transport retries per operation (default 8).
 	MaxAttempts int
-	// MaxRuns bounds each agent's successful-execution budget
-	// (default 256).
-	MaxRuns int
 	// OpTimeout bounds each round trip (default 30s).
 	OpTimeout time.Duration
 	// PollInterval is how often agents re-poll directives and pending
@@ -94,13 +91,6 @@ func (c Config) maxAttempts() int {
 		return 8
 	}
 	return c.MaxAttempts
-}
-
-func (c Config) maxRuns() int {
-	if c.MaxRuns <= 0 {
-		return 256
-	}
-	return c.MaxRuns
 }
 
 func (c Config) opTimeout() time.Duration {
@@ -147,9 +137,6 @@ type agentConn struct {
 	attempts  int
 	opTimeout time.Duration
 	conn      *proto.Conn
-	// retried counts attempts beyond the first across all operations —
-	// the transport retries the idempotent protocol absorbed.
-	retried int
 }
 
 func (a *agentConn) close() {
@@ -169,7 +156,6 @@ func (a *agentConn) do(fn func(c *proto.Conn) error) error {
 			return err
 		}
 		if i > 0 {
-			a.retried++
 			select {
 			case <-a.ctx.Done():
 				return a.ctx.Err()
@@ -205,15 +191,16 @@ func (a *agentConn) do(fn func(c *proto.Conn) error) error {
 // failure's case is diagnosed, and returns the published report.
 //
 // Each agent independently registers the program (idempotent),
-// reproduces the failure locally, reports it (joining the shared
-// case), then runs the OK variant with the directive's trigger armed
-// and batch-uploads triggered snapshots until the server publishes.
+// reports the failure (joining the shared case), then runs the OK
+// variant on its own VM with the directive's trigger armed and
+// batch-uploads triggered snapshots until the server publishes.
 func Run(p Program, cfg Config) (*Result, error) {
-	if p.Fail == nil || p.OK == nil {
-		return nil, fmt.Errorf("fleet: Program needs both variants")
-	}
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("fleet: Config.Dial is required")
+	}
+	m, err := prepare(p)
+	if err != nil {
+		return nil, err
 	}
 	n := cfg.clients()
 	results := make([]*Result, n)
@@ -223,7 +210,8 @@ func Run(p Program, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			results[idx], errs[idx] = runAgent(p, cfg, idx)
+			results[idx], errs[idx] = runAgent(cfg, fmt.Sprintf("agent-%d", idx), m, 1,
+				vmSuccesses(p.OK, cfg.seedBase()+int64(idx)*100_000))
 		}(i)
 	}
 	wg.Wait()
@@ -250,72 +238,145 @@ func Run(p Program, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// reproduceFailure finds the failing interleaving the way every
-// replica would: deterministic seeds from 1 up, so the whole fleet
-// reports the same failure PC and joins one case.
-func reproduceFailure(mod *ir.Module) *core.RunReport {
-	client := core.NewClient(mod)
-	for seed := int64(1); seed <= 64; seed++ {
-		if rep := client.Run(seed, ir.NoPC); rep.Failed() {
-			return rep
+// maxRuns bounds how many OK-variant executions one Run agent makes
+// looking for triggered snapshots.
+const maxRuns = 256
+
+// vmSuccesses is a Run agent's snapshot source: it executes ok on the
+// agent's own VM, seeds counting up from seed+1, with the trigger
+// armed at pc, and returns the next triggered success snapshot, or nil
+// once maxRuns executions are spent.
+func vmSuccesses(ok *ir.Module, seed int64) func(pc ir.PC) *pt.Snapshot {
+	client := core.NewClient(ok)
+	runs := 0
+	return func(pc ir.PC) *pt.Snapshot {
+		for runs < maxRuns {
+			runs++
+			seed++
+			if rep := client.Run(seed, pc); !rep.Failed() && rep.Triggered && rep.Snapshot != nil {
+				return rep.Snapshot
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
-func runAgent(p Program, cfg Config, idx int) (*Result, error) {
+// material is what every agent of one program reports: the failing
+// build's IR text, which registers the tenant, and the failing run.
+type material struct {
+	text    string
+	failing *core.RunReport
+}
+
+// prepare reproduces p's failure the way every replica would:
+// deterministic seeds from 1 up, so the whole fleet reports the same
+// failure PC and joins one case. One reproduction therefore stands in
+// for every agent's.
+func prepare(p Program) (*material, error) {
+	if p.Fail == nil || p.OK == nil {
+		return nil, fmt.Errorf("fleet: Program needs both variants")
+	}
+	client := core.NewClient(p.Fail)
+	for seed := int64(1); seed <= 64; seed++ {
+		if rep := client.Run(seed, ir.NoPC); rep.Failed() {
+			return &material{text: ir.Print(p.Fail), failing: rep}, nil
+		}
+	}
+	return nil, fmt.Errorf("fleet: could not reproduce the failure of %s", p.Fail.Name)
+}
+
+// runAgent is the agent lifecycle (Figure 2, §4.5): register m's
+// program, report its failure reports times (every report idempotently
+// joins the same case), upload batches of triggered successes while the
+// case's directive stays armed, and fetch the published report. id
+// names the agent on the wire; with the per-case sequence number it
+// makes batch uploads idempotent. successes returns the agent's next
+// triggered success snapshot for a trigger PC, or nil once its budget
+// is spent: Run and RunLoad differ only in the source they pass.
+func runAgent(cfg Config, id string, m *material, reports int, successes func(pc ir.PC) *pt.Snapshot) (*Result, error) {
 	ctx := cfg.context()
 	a := &agentConn{ctx: ctx, dial: cfg.Dial, attempts: cfg.maxAttempts(),
 		opTimeout: cfg.opTimeout()}
 	defer a.close()
-	clientID := fmt.Sprintf("agent-%d", idx)
 
 	var tenant proto.TenantID
 	if err := a.do(func(c *proto.Conn) error {
 		var err error
-		tenant, err = c.Register(ir.Print(p.Fail))
+		tenant, err = c.Register(m.text)
 		return err
 	}); err != nil {
-		return nil, fmt.Errorf("%s: register: %w", clientID, err)
+		return nil, fmt.Errorf("%s: register: %w", id, err)
 	}
 
-	rep := reproduceFailure(p.Fail)
-	if rep == nil {
-		return nil, fmt.Errorf("%s: could not reproduce the failure", clientID)
-	}
 	var (
 		caseID    proto.CaseID
 		directive proto.Directive
 		done      bool
 	)
-	if err := a.do(func(c *proto.Conn) error {
-		var err error
-		caseID, directive, done, err = c.ReportFleetFailure(tenant, rep.Failure, rep.Snapshot)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("%s: report failure: %w", clientID, err)
+	for r := 0; r < reports; r++ {
+		if err := a.do(func(c *proto.Conn) error {
+			var err error
+			caseID, directive, done, err = c.ReportFleetFailure(tenant, m.failing.Failure, m.failing.Snapshot)
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("%s: report failure: %w", id, err)
+		}
 	}
 
-	res := &Result{Tenant: tenant, Case: caseID, Failure: rep.Failure}
-	okClient := core.NewClient(p.OK)
+	res := &Result{Tenant: tenant, Case: caseID, Failure: m.failing.Failure}
+	size := cfg.batchSize()
+	batch := make([]*pt.Snapshot, 0, size)
 	var (
-		batch    []*pt.Snapshot
 		seq      uint64 = 1 // sequence number of batch[0]
 		credited uint64     // server ledger mark already counted into res.Accepted
 	)
-	upload := func() error {
-		if len(batch) == 0 {
-			return nil
+	for !done {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("%s: collection: %w", id, err)
 		}
-		var accepted int
-		var ledger uint64
-		err := a.do(func(c *proto.Conn) error {
+		// Another agent may have filled the quota: when the directive is
+		// gone, stop producing and go fetch the report.
+		var ds []proto.Directive
+		if err := a.do(func(c *proto.Conn) error {
 			var err error
-			accepted, ledger, done, err = c.UploadBatchLedger(tenant, caseID, directive.TriggerPC, clientID, seq, batch)
+			ds, err = c.Directives(tenant)
 			return err
-		})
-		if err != nil {
+		}); err != nil {
+			return nil, fmt.Errorf("%s: directives: %w", id, err)
+		}
+		armed := false
+		for _, d := range ds {
+			// Match on the trigger PC, not the case id: in a sharded
+			// deployment the directive listing is a fan-out merge, and
+			// the PC is the routing key that is stable across shards.
+			if d.TriggerPC == directive.TriggerPC {
+				armed, directive = true, d
+			}
+		}
+		if !armed {
+			break
+		}
+		batch = batch[:0]
+		for len(batch) < size {
+			s := successes(directive.TriggerPC)
+			if s == nil {
+				break
+			}
+			batch = append(batch, s)
+		}
+		if len(batch) == 0 {
+			break
+		}
+		var (
+			accepted int
+			ledger   uint64
+		)
+		if err := a.do(func(c *proto.Conn) error {
+			var err error
+			accepted, ledger, done, err = c.UploadBatchLedger(tenant, caseID, directive.TriggerPC, id, seq, batch)
 			return err
+		}); err != nil {
+			return nil, fmt.Errorf("%s: upload: %w", id, err)
 		}
 		res.Uploaded += len(batch)
 		// A reply can be lost after the server admitted the batch; the
@@ -331,63 +392,16 @@ func runAgent(p Program, cfg Config, idx int) (*Result, error) {
 			res.Accepted += accepted
 		}
 		seq += uint64(len(batch))
-		batch = batch[:0]
-		return nil
-	}
-	seed := cfg.seedBase() + int64(idx)*100_000
-	for runs := 0; !done && runs < cfg.maxRuns(); runs++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%s: collection: %w", clientID, err)
-		}
-		seed++
-		okRep := okClient.Run(seed, directive.TriggerPC)
-		if okRep.Failed() || !okRep.Triggered || okRep.Snapshot == nil {
-			continue
-		}
-		batch = append(batch, okRep.Snapshot)
-		if len(batch) >= cfg.batchSize() {
-			if err := upload(); err != nil {
-				return nil, fmt.Errorf("%s: upload: %w", clientID, err)
-			}
-		}
-		if done {
-			break
-		}
-		// Another agent may have filled the quota: when the directive is
-		// gone, stop producing and go fetch the report.
-		var ds []proto.Directive
-		if err := a.do(func(c *proto.Conn) error {
-			var err error
-			ds, err = c.Directives(tenant)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("%s: directives: %w", clientID, err)
-		}
-		armed := false
-		for _, d := range ds {
-			// Match on the trigger PC, not the case id: in a sharded
-			// deployment the directive listing is a fan-out merge, and
-			// the PC is the routing key that is stable across shards.
-			if d.TriggerPC == directive.TriggerPC {
-				armed, directive = true, d
-			}
-		}
-		if !armed {
-			break
-		}
-	}
-	if !done {
-		// Flush the tail batch; harmless if the case just closed (the
-		// server ignores excess) and necessary if quota still wants it.
-		if err := upload(); err != nil {
-			return nil, fmt.Errorf("%s: upload: %w", clientID, err)
+		if len(batch) < size {
+			break // the snapshot budget is spent
 		}
 	}
 
 	// Fetch the published report, polling while the case is still
-	// collecting (other agents may hold the last uploads). The poll
-	// loop is doubly bounded: by the operation timeout and by the
-	// run's context, whichever ends first.
+	// collecting (other agents may hold the last uploads, or the owning
+	// shard may be mid-failover). The poll loop is doubly bounded: by
+	// the operation timeout and by the run's context, whichever ends
+	// first.
 	deadline := time.Now().Add(cfg.opTimeout())
 	for {
 		var (
@@ -399,18 +413,18 @@ func runAgent(p Program, cfg Config, idx int) (*Result, error) {
 			diag, reported, err = c.FetchReport(tenant, caseID, directive.TriggerPC)
 			return err
 		}); err != nil {
-			return nil, fmt.Errorf("%s: fetch report: %w", clientID, err)
+			return nil, fmt.Errorf("%s: fetch report: %w", id, err)
 		}
 		if reported {
 			res.Diagnosis = diag
 			return res, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%s: case %d never published (quota starved?)", clientID, caseID)
+			return nil, fmt.Errorf("%s: case %d never published (quota starved?)", id, caseID)
 		}
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("%s: fetch report: %w", clientID, ctx.Err())
+			return nil, fmt.Errorf("%s: fetch report: %w", id, ctx.Err())
 		case <-time.After(cfg.pollInterval()):
 		}
 	}

@@ -53,7 +53,7 @@ func assertSameDiagnosis(t *testing.T, got, want *core.Diagnosis) {
 
 // TestRunLoadSmoke drives a mid-size agent swarm (far above the
 // per-case quota, well below the headline chaos scale) against one
-// in-process fleet server and checks the load generator's contract:
+// in-process fleet server and checks RunLoad's contract:
 // every program's case publishes exactly once at exactly the quota,
 // every agent fetches the report, and the stats are self-consistent.
 func TestRunLoadSmoke(t *testing.T) {
@@ -134,13 +134,6 @@ func TestRunLoadSmoke(t *testing.T) {
 	}
 	if res.Stats.Uploaded < res.Stats.Accepted {
 		t.Errorf("Stats.Uploaded = %d < Accepted = %d", res.Stats.Uploaded, res.Stats.Accepted)
-	}
-	if res.Stats.DirectiveP99 < res.Stats.DirectiveP50 || res.Stats.DirectiveP99 <= 0 {
-		t.Errorf("directive latency p50=%v p99=%v not sane",
-			res.Stats.DirectiveP50, res.Stats.DirectiveP99)
-	}
-	if res.Stats.AcceptedPerSec <= 0 || res.Stats.ReportsPerMin <= 0 {
-		t.Errorf("rates not positive: %+v", res.Stats)
 	}
 }
 

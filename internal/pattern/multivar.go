@@ -42,16 +42,7 @@ func ComputeMultiVar(mod *ir.Module, fi FailureInfo, anchors []MVAnchor, tr *tra
 	if len(anchors) < 2 {
 		return nil
 	}
-	seen := map[string]*Pattern{}
-	add := func(p *Pattern) {
-		if prev, ok := seen[p.Key()]; ok {
-			if p.Rank < prev.Rank {
-				prev.Rank = p.Rank
-			}
-			return
-		}
-		seen[p.Key()] = p
-	}
+	var found []*Pattern
 
 	for i, first := range anchors {
 		ri, ok := tr.LastInstanceOfIn(first.PC, fi.Tid)
@@ -79,7 +70,7 @@ func ComputeMultiVar(mod *ir.Module, fi FailureInfo, anchors []MVAnchor, tr *tra
 					if !traceproc.Before(ri, b) || !traceproc.Before(b, rj) {
 						continue
 					}
-					add(&Pattern{
+					found = append(found, &Pattern{
 						Kind: KindMultiVarAtomicity,
 						Sub:  "MV-RWR",
 						PCs:  []ir.PC{first.PC, cpc, second.PC},
@@ -95,10 +86,7 @@ func ComputeMultiVar(mod *ir.Module, fi FailureInfo, anchors []MVAnchor, tr *tra
 			}
 		}
 	}
-	out := make([]*Pattern, 0, len(seen))
-	for _, p := range seen {
-		out = append(out, p)
-	}
+	out := Dedupe(found)
 	sortPatterns(out)
 	return out
 }

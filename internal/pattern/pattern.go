@@ -262,16 +262,7 @@ func computeViolations(mod *ir.Module, fi FailureInfo, cands []ranking.Candidate
 		before = append(before, inst{ev: ev, kind: k, rank: rank})
 	}
 
-	seen := map[string]*Pattern{}
-	add := func(p *Pattern) {
-		if prev, ok := seen[p.Key()]; ok {
-			if p.Rank < prev.Rank {
-				prev.Rank = p.Rank
-			}
-			return
-		}
-		seen[p.Key()] = p
-	}
+	var found []*Pattern
 
 	// Order violations: X (other thread) before F, at least one write.
 	for _, x := range before {
@@ -281,7 +272,7 @@ func computeViolations(mod *ir.Module, fi FailureInfo, cands []ranking.Candidate
 		if x.kind != 'W' && fKind != 'W' {
 			continue // R-R is not a violation
 		}
-		add(&Pattern{
+		found = append(found, &Pattern{
 			Kind: KindOrderViolation,
 			Sub:  string([]byte{x.kind, fKind}),
 			PCs:  []ir.PC{x.ev.PC, fi.PC},
@@ -313,7 +304,7 @@ func computeViolations(mod *ir.Module, fi FailureInfo, cands []ranking.Candidate
 		if anyBefore {
 			continue
 		}
-		add(&Pattern{
+		found = append(found, &Pattern{
 			Kind:    KindOrderViolation,
 			Sub:     string([]byte{fKind, cKind}),
 			PCs:     []ir.PC{fi.PC, cpc},
@@ -345,7 +336,7 @@ func computeViolations(mod *ir.Module, fi FailureInfo, cands []ranking.Candidate
 			if b.rank > rank {
 				rank = b.rank
 			}
-			add(&Pattern{
+			found = append(found, &Pattern{
 				Kind: KindAtomicityViolation,
 				Sub:  sub,
 				PCs:  []ir.PC{a.ev.PC, b.ev.PC, fi.PC},
@@ -359,11 +350,27 @@ func computeViolations(mod *ir.Module, fi FailureInfo, cands []ranking.Candidate
 		}
 	}
 
-	out := make([]*Pattern, 0, len(seen))
-	for _, p := range seen {
+	out := Dedupe(found)
+	sortPatterns(out)
+	return out
+}
+
+// Dedupe keeps the first pattern per Key, in first-seen order, and
+// lowers its Rank to the best Rank among its duplicates.
+func Dedupe(pats []*Pattern) []*Pattern {
+	seen := make(map[string]*Pattern, len(pats))
+	out := make([]*Pattern, 0, len(pats))
+	for _, p := range pats {
+		k := p.Key()
+		if prev, ok := seen[k]; ok {
+			if p.Rank < prev.Rank {
+				prev.Rank = p.Rank
+			}
+			continue
+		}
+		seen[k] = p
 		out = append(out, p)
 	}
-	sortPatterns(out)
 	return out
 }
 

@@ -404,6 +404,54 @@ func TestPatternKeyStable(t *testing.T) {
 	}
 }
 
+func TestDedupe(t *testing.T) {
+	ov := func(rank int, pcs ...ir.PC) *pattern.Pattern {
+		return &pattern.Pattern{Kind: pattern.KindOrderViolation, Sub: "WR", PCs: pcs, Rank: rank}
+	}
+	first := func(rank int, pcs ...ir.PC) *pattern.Pattern {
+		p := ov(rank, pcs...)
+		p.Absence = true
+		return p
+	}
+	type want struct {
+		key  string
+		rank int
+	}
+	for _, tc := range []struct {
+		name string
+		in   []*pattern.Pattern
+		want []want
+	}{
+		{"empty", nil, []want{}},
+		{"no duplicates keep order",
+			[]*pattern.Pattern{ov(3, 5, 6), ov(1, 1, 2)},
+			[]want{{"order-violation:WR:5,6", 3}, {"order-violation:WR:1,2", 1}}},
+		{"later duplicate lowers the rank",
+			[]*pattern.Pattern{ov(4, 1, 2), ov(7, 3, 4), ov(2, 1, 2)},
+			[]want{{"order-violation:WR:1,2", 2}, {"order-violation:WR:3,4", 7}}},
+		{"worse duplicate keeps the rank",
+			[]*pattern.Pattern{ov(2, 1, 2), ov(9, 1, 2), ov(5, 1, 2)},
+			[]want{{"order-violation:WR:1,2", 2}}},
+		{"absence is a distinct key",
+			[]*pattern.Pattern{first(6, 1, 2), ov(8, 1, 2), first(1, 1, 2)},
+			[]want{{"order-violation:WR:1,2:first", 1}, {"order-violation:WR:1,2", 8}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := pattern.Dedupe(tc.in)
+			got := make([]want, len(out))
+			for i, p := range out {
+				got[i] = want{p.Key(), p.Rank}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("Dedupe = %v, want %v", got, tc.want)
+			}
+			if len(out) > 0 && out[0] != tc.in[0] {
+				t.Error("Dedupe did not keep the first-seen pattern itself")
+			}
+		})
+	}
+}
+
 func TestAccessKind(t *testing.T) {
 	mod := buildUseAfterFree(t, 1, 1)
 	var kinds []byte

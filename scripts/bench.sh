@@ -8,13 +8,10 @@
 # Usage:
 #   scripts/bench.sh record [out.txt]           write fresh numbers (default bench-new.txt)
 #   scripts/bench.sh compare <old.txt> [new.txt] record new.txt if missing, then compare
-#   scripts/bench.sh fleet [out.json]           record fleet-tier load numbers (default BENCH_fleet.json)
 #
-# Knobs (env): BENCH_COUNT (default 6), BENCH_PATTERN (default
-# ^BenchmarkVMExecute$), BENCH_PKG (default ./internal/vm),
-# WIRE_PATTERN (default ^BenchmarkWireUpload$; empty skips the wire
-# record), WIRE_PKG (default ./internal/shard);
-# for fleet: FLEET_AGENTS (default 1000), FLEET_PORT_BASE (default 7100).
+# Knob (env): BENCH_COUNT (default 6), the samples per benchmark. The
+# benchmark set itself is fixed, so every record is comparable with
+# .github/bench-baseline.txt.
 #
 # The perf CI lane records bench-head.txt, renders a benchstat report
 # artifact against the checked-in .github/bench-baseline.txt, and
@@ -25,30 +22,23 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-6}"
-PATTERN="${BENCH_PATTERN:-^BenchmarkVMExecute$}"
-PKG="${BENCH_PKG:-./internal/vm}"
-WIRE_PATTERN="${WIRE_PATTERN-^BenchmarkWireUpload$}"
-WIRE_PKG="${WIRE_PKG:-./internal/shard}"
-# The root package's layer benchmarks: success-trace diagnosis and
-# trace decode. A sub-benchmark pattern skips benchmarks that have no
-# sub-benchmarks, so each gets its own run.
-ROOT_PATTERNS=('^BenchmarkDiagnoseManySuccesses$/^serial$' '^BenchmarkTraceDecode$')
-
-# bench_one <pattern> <pkg> appends one package's benchmark run to $out.
-bench_one() {
-  echo "recording: go test -run '^\$' -bench '$1' -count $COUNT -benchmem $2" >&2
-  go test -run '^$' -bench "$1" -count "$COUNT" -benchmem "$2" | tee -a "$out"
-}
+# The gated benchmarks, as (pattern, package) pairs. A sub-benchmark
+# pattern skips benchmarks that have no sub-benchmarks, so each root
+# benchmark gets its own run.
+BENCHES=(
+  '^BenchmarkVMExecute$' ./internal/vm
+  '^BenchmarkWireUpload$' ./internal/shard
+  '^BenchmarkDiagnoseManySuccesses$/^serial$' .
+  '^BenchmarkTraceDecode$' .
+)
 
 record() {
   out="${1:-bench-new.txt}"
   : >"$out"
-  bench_one "$PATTERN" "$PKG"
-  if [ -n "$WIRE_PATTERN" ]; then
-    bench_one "$WIRE_PATTERN" "$WIRE_PKG"
-  fi
-  for pat in "${ROOT_PATTERNS[@]}"; do
-    bench_one "$pat" .
+  local i
+  for ((i = 0; i < ${#BENCHES[@]}; i += 2)); do
+    echo "recording: go test -run '^\$' -bench '${BENCHES[i]}' -count $COUNT -benchmem ${BENCHES[i + 1]}" >&2
+    go test -run '^$' -bench "${BENCHES[i]}" -count "$COUNT" -benchmem "${BENCHES[i + 1]}" | tee -a "$out"
   done
 }
 
@@ -67,58 +57,8 @@ compare() {
     -ratio 'BenchmarkVMExecute/loop/treewalk,BenchmarkVMExecute/loop/bytecode,3.0'
 }
 
-# fleet — stand up the sharded fleet tier (2 durable shards behind the
-# router) and drive the load generator through it, recording the
-# headline numbers (accepted traces/s, reports/min, directive p50/p99)
-# to a BENCH_fleet.json entry.
-fleet() {
-  local out="${1:-BENCH_fleet.json}"
-  local agents="${FLEET_AGENTS:-1000}"
-  local port="${FLEET_PORT_BASE:-7100}"
-  local tmp; tmp="$(mktemp -d)"
-  local bin="$tmp/snorlax"
-  echo "building cmd/snorlax..." >&2
-  go build -o "$bin" ./cmd/snorlax
-
-  # Deliberately not `local`: the EXIT trap fires after this function
-  # has returned, and must still see the pids to reap.
-  fleet_pids=()
-  cleanup() {
-    trap - EXIT INT TERM
-    [ "${#fleet_pids[@]}" -gt 0 ] && kill "${fleet_pids[@]}" 2>/dev/null
-    wait 2>/dev/null
-    true
-  }
-  trap cleanup EXIT INT TERM
-
-  "$bin" -serve "127.0.0.1:$((port + 1))" -fleet -state-dir "$tmp/s0" -case-base 0 >"$tmp/s0.log" 2>&1 &
-  fleet_pids+=($!)
-  "$bin" -serve "127.0.0.1:$((port + 2))" -fleet -state-dir "$tmp/s1" -case-base 4294967296 >"$tmp/s1.log" 2>&1 &
-  fleet_pids+=($!)
-
-  wait_port() {
-    for _ in $(seq 1 100); do
-      if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then exec 3>&- 3<&-; return 0; fi
-      sleep 0.1
-    done
-    echo "port $1 never came up" >&2
-    return 1
-  }
-  wait_port "$((port + 1))"
-  wait_port "$((port + 2))"
-
-  "$bin" -route "127.0.0.1:$port" \
-    -shards "s0=127.0.0.1:$((port + 1)),s1=127.0.0.1:$((port + 2))" >"$tmp/router.log" 2>&1 &
-  fleet_pids+=($!)
-  wait_port "$port"
-
-  echo "driving $agents agents through the router..." >&2
-  "$bin" -loadgen "127.0.0.1:$port" -load-agents "$agents" -bench-out "$out"
-}
-
 case "${1:-}" in
   record)  shift; record "$@" ;;
   compare) shift; compare "$@" ;;
-  fleet)   shift; fleet "$@" ;;
-  *) echo "usage: $0 {record [out.txt] | compare <old.txt> [new.txt] | fleet [out.json]}" >&2; exit 2 ;;
+  *) echo "usage: $0 {record [out.txt] | compare <old.txt> [new.txt]}" >&2; exit 2 ;;
 esac

@@ -10,7 +10,10 @@ import (
 // Config controls the simulated tracer.
 type Config struct {
 	// BufBytes is the per-thread ring capacity (default 64 KB, the
-	// paper's configuration).
+	// paper's configuration). It bounds how much history a thread
+	// keeps; it is not allocated up front. A ring holds only what was
+	// written until a write would pass BufBytes, and allocates its
+	// full BufBytes then.
 	BufBytes int
 	// MTCGranularityNS is the coarse clock quantum carried by MTC
 	// packets (default 1024 ns).

@@ -90,23 +90,89 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// eagerRing is the reference ring FuzzRing holds the lazy ring to:
+// the same overwrite rule over a buffer of the whole capacity,
+// allocated up front.
+type eagerRing struct {
+	buf   []byte
+	w     int
+	total int64
+}
+
+func newEagerRing(capacity int) *eagerRing {
+	return &eagerRing{buf: make([]byte, capacity)}
+}
+
+func (r *eagerRing) write(p []byte) {
+	r.total += int64(len(p))
+	if len(p) >= len(r.buf) {
+		copy(r.buf, p[len(p)-len(r.buf):])
+		r.w = 0
+		return
+	}
+	n := copy(r.buf[r.w:], p)
+	if n < len(p) {
+		copy(r.buf, p[n:])
+		r.w = len(p) - n
+	} else {
+		r.w += n
+		if r.w == len(r.buf) {
+			r.w = 0
+		}
+	}
+}
+
+func (r *eagerRing) snapshot() (data []byte, wrapped bool) {
+	if r.total < int64(len(r.buf)) {
+		out := make([]byte, r.w)
+		copy(out, r.buf[:r.w])
+		return out, false
+	}
+	out := make([]byte, len(r.buf))
+	n := copy(out, r.buf[r.w:])
+	copy(out[n:], r.buf[:r.w])
+	return out, r.total > int64(len(r.buf))
+}
+
 // FuzzRing checks that arbitrary write sequences keep the ring's
-// tail-of-stream invariant.
+// tail-of-stream invariant, and that after every write the ring's
+// snapshot — bytes and wrapped flag — equals the eager reference's.
+// The chunk is written reps times in writes of step bytes; capacities
+// above the ring's first reservation exercise its doubling growth.
 func FuzzRing(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, uint8(8))
-	f.Add([]byte{}, uint8(1))
-	f.Fuzz(func(t *testing.T, chunk []byte, capSeed uint8) {
-		capacity := int(capSeed%64) + 1
-		r := newRing(capacity)
+	f.Add([]byte{1, 2, 3}, uint16(7), uint8(4), uint8(0))
+	f.Add([]byte{}, uint16(0), uint8(4), uint8(0))
+	// Exact fill: two writes of 4 into a ring of 8.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(7), uint8(3), uint8(0))
+	// A fill one byte short.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, uint16(7), uint8(2), uint8(0))
+	// A single write longer than the capacity.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint16(7), uint8(11), uint8(0))
+	// A write that straddles the switch from append to the full buffer.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint16(7), uint8(4), uint8(0))
+	// Growth by doubling past the first reservation, then a wrap.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, uint16(999), uint8(16), uint8(63))
+	f.Fuzz(func(t *testing.T, chunk []byte, capSeed uint16, stepSeed, repSeed uint8) {
+		capacity := int(capSeed%2048) + 1
+		step := int(stepSeed) + 1
 		var all []byte
-		// Split the chunk into a few writes.
-		for i := 0; i < len(chunk); i += 5 {
-			end := i + 5
-			if end > len(chunk) {
-				end = len(chunk)
+		for i := 0; i <= int(repSeed%64); i++ {
+			all = append(all, chunk...)
+		}
+		r, ref := newRing(capacity), newEagerRing(capacity)
+		for i := 0; i < len(all); i += step {
+			p := all[i:min(i+step, len(all))]
+			r.write(p)
+			ref.write(p)
+			if cap(r.buf) > capacity {
+				t.Fatalf("backing array %d bytes for a %d-byte ring", cap(r.buf), capacity)
 			}
-			r.write(chunk[i:end])
-			all = append(all, chunk[i:end]...)
+			data, wrapped := r.snapshot()
+			wantData, wantWrapped := ref.snapshot()
+			if string(data) != string(wantData) || wrapped != wantWrapped {
+				t.Fatalf("after %d bytes: snapshot %v wrapped=%v, eager ring %v wrapped=%v",
+					i+len(p), data, wrapped, wantData, wantWrapped)
+			}
 		}
 		data, _ := r.snapshot()
 		want := all

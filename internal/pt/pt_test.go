@@ -102,6 +102,34 @@ func TestRingExactFillNotWrapped(t *testing.T) {
 	})
 }
 
+// TestRingReservesNoMoreThanItHolds pins the lazy allocation rule: a
+// ring written below its capacity never holds a backing array larger
+// than its capacity (nor larger than its first reservation or twice
+// what it holds), and only a wrapping write allocates the full buffer.
+func TestRingReservesNoMoreThanItHolds(t *testing.T) {
+	for _, capacity := range []int{1, 7, 100, minRingGrow - 1, minRingGrow, minRingGrow + 1, 1000, 4096, 64 << 10} {
+		for _, step := range []int{1, 3, 16, 361} {
+			r := newRing(capacity)
+			if cap(r.buf) != 0 {
+				t.Fatalf("cap %d: new ring reserved %d bytes before any write", capacity, cap(r.buf))
+			}
+			p := bytes.Repeat([]byte{0xa5}, step)
+			for int(r.total)+step < capacity {
+				r.write(p)
+				if got := cap(r.buf); got > capacity || got > max(minRingGrow, 2*len(r.buf)) {
+					t.Fatalf("cap %d step %d: %d bytes held in a %d-byte backing array",
+						capacity, step, len(r.buf), got)
+				}
+			}
+			r.write(p) // reaches or passes the capacity
+			if r.wrapped() && (len(r.buf) != capacity || cap(r.buf) != capacity) {
+				t.Fatalf("cap %d step %d: wrapped ring has len %d cap %d, want both %d",
+					capacity, step, len(r.buf), cap(r.buf), capacity)
+			}
+		}
+	}
+}
+
 func TestRingMatchesTailProperty(t *testing.T) {
 	// Property: for any write sequence, the snapshot equals the tail
 	// of the concatenated writes.

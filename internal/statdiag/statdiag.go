@@ -113,7 +113,13 @@ func CompareRecall(a, b Score) int {
 // scores sorted by descending F1 (ties broken by the pattern's type
 // rank, then key, for determinism).
 func Rank(patterns []*pattern.Pattern, obs []Observation) []Score {
-	scores := make([]Score, 0, len(patterns))
+	// Each score carries its pattern's key, built once: the sort's
+	// last tie-break compares keys.
+	type keyedScore struct {
+		Score
+		key string
+	}
+	keyed := make([]keyedScore, 0, len(patterns))
 	for _, p := range patterns {
 		key := p.Key()
 		var presentFailed, presentOK, absentFailed int
@@ -143,11 +149,11 @@ func Rank(patterns []*pattern.Pattern, obs []Observation) []Score {
 		if s.Precision+s.Recall > 0 {
 			s.F1 = 2 * s.Precision * s.Recall / (s.Precision + s.Recall)
 		}
-		scores = append(scores, s)
+		keyed = append(keyed, keyedScore{s, key})
 	}
-	sort.Slice(scores, func(i, j int) bool {
-		si, sj := scores[i], scores[j]
-		if c := CompareF1(si, sj); c != 0 {
+	sort.Slice(keyed, func(i, j int) bool {
+		si, sj := keyed[i], keyed[j]
+		if c := CompareF1(si.Score, sj.Score); c != 0 {
 			return c > 0
 		}
 		// Specificity: a pattern constraining more events (an
@@ -159,8 +165,12 @@ func Rank(patterns []*pattern.Pattern, obs []Observation) []Score {
 		if si.Pattern.Rank != sj.Pattern.Rank {
 			return si.Pattern.Rank < sj.Pattern.Rank
 		}
-		return si.Pattern.Key() < sj.Pattern.Key()
+		return si.key < sj.key
 	})
+	scores := make([]Score, len(keyed))
+	for i := range keyed {
+		scores[i] = keyed[i].Score
+	}
 	return scores
 }
 

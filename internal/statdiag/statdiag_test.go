@@ -2,6 +2,7 @@ package statdiag
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -270,5 +271,87 @@ func TestBestSpecificityTieBreak(t *testing.T) {
 	observations = []Observation{obs(true, pair.Key(), other.Key()), obs(false)}
 	if _, unique := Best(Rank([]*pattern.Pattern{pair, other}, observations)); unique {
 		t.Error("equal-specificity exact tie reported as unique")
+	}
+}
+
+// TestRankTieBreakOrder pins Rank's comparator: descending F1, then
+// more PCs, then lower type rank, and only when all three tie, the
+// pattern key — whatever order the patterns arrive in.
+func TestRankTieBreakOrder(t *testing.T) {
+	ranked := func(p *pattern.Pattern, rank int) *pattern.Pattern {
+		p.Rank = rank
+		return p
+	}
+	tests := []struct {
+		name string
+		pats []*pattern.Pattern
+		// present lists the patterns present in the failing run;
+		// presentOK those also present in the one successful run.
+		present, presentOK []int
+		want               []string
+	}{
+		{
+			name: "all tied: key order",
+			pats: []*pattern.Pattern{
+				pat(pattern.KindOrderViolation, "WR", 5, 9),
+				pat(pattern.KindOrderViolation, "WR", 12, 9),
+				pat(pattern.KindOrderViolation, "RW", 5, 9),
+			},
+			present: []int{0, 1, 2},
+			want:    []string{"order-violation:RW:5,9", "order-violation:WR:12,9", "order-violation:WR:5,9"},
+		},
+		{
+			name: "F1 before key",
+			pats: []*pattern.Pattern{
+				pat(pattern.KindOrderViolation, "WR", 1, 9),
+				pat(pattern.KindOrderViolation, "WR", 2, 9),
+			},
+			present: []int{0, 1}, presentOK: []int{0},
+			want: []string{"order-violation:WR:2,9", "order-violation:WR:1,9"},
+		},
+		{
+			name: "specificity before key",
+			pats: []*pattern.Pattern{
+				pat(pattern.KindOrderViolation, "WR", 1, 9),
+				pat(pattern.KindAtomicityViolation, "RWR", 7, 8, 9),
+			},
+			present: []int{0, 1},
+			want:    []string{"atomicity-violation:RWR:7,8,9", "order-violation:WR:1,9"},
+		},
+		{
+			name: "type rank before key",
+			pats: []*pattern.Pattern{
+				ranked(pat(pattern.KindOrderViolation, "WR", 1, 9), 2),
+				ranked(pat(pattern.KindOrderViolation, "WR", 2, 9), 1),
+				ranked(pat(pattern.KindOrderViolation, "WR", 3, 9), 2),
+			},
+			present: []int{0, 1, 2},
+			want:    []string{"order-violation:WR:2,9", "order-violation:WR:1,9", "order-violation:WR:3,9"},
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			failed, ok := obs(true), obs(false)
+			for _, i := range tc.present {
+				failed.Present[tc.pats[i].Key()] = true
+			}
+			for _, i := range tc.presentOK {
+				ok.Present[tc.pats[i].Key()] = true
+			}
+			observations := []Observation{failed, ok}
+			reversed := make([]*pattern.Pattern, len(tc.pats))
+			for i, p := range tc.pats {
+				reversed[len(tc.pats)-1-i] = p
+			}
+			for _, in := range [][]*pattern.Pattern{tc.pats, reversed} {
+				var got []string
+				for _, s := range Rank(in, observations) {
+					got = append(got, s.Pattern.Key())
+				}
+				if !slices.Equal(got, tc.want) {
+					t.Errorf("order %v, want %v", got, tc.want)
+				}
+			}
+		})
 	}
 }

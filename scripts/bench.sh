@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — record or compare the gated layer benchmarks (VM
-# execution, wire upload, and the root package's success-trace
-# diagnosis and trace decode) with a fixed, repeatable discipline (one
-# pattern per package, -count=6, -benchmem), so any two result files
-# are comparable by benchstat or scripts/benchgate.
+# execution, one traced run through the PT encoder, wire upload, and
+# the root package's success-trace diagnosis and trace decode) with a
+# fixed, repeatable discipline (one pattern per package, -count=6,
+# -benchmem), so any two result files are comparable by benchstat or
+# scripts/benchgate.
 #
 # Usage:
 #   scripts/bench.sh record [out.txt]           write fresh numbers (default bench-new.txt)
@@ -16,8 +17,8 @@
 # The perf CI lane records bench-head.txt, renders a benchstat report
 # artifact against the checked-in .github/bench-baseline.txt, and
 # gates with scripts/benchgate (>10% normalized regression at p<0.05
-# fails the lane, wire upload and the root benchmarks included, as does
-# losing the bytecode engine's >=3x speedup).
+# fails the lane, the traced run, wire upload and the root benchmarks
+# included, as does losing the bytecode engine's >=3x speedup).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,7 @@ COUNT="${BENCH_COUNT:-6}"
 # benchmark gets its own run.
 BENCHES=(
   '^BenchmarkVMExecute$' ./internal/vm
+  '^BenchmarkTracedRun$' ./internal/pt
   '^BenchmarkWireUpload$' ./internal/shard
   '^BenchmarkDiagnoseManySuccesses$/^serial$' .
   '^BenchmarkTraceDecode$' .

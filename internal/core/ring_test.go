@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"snorlax/internal/corpus"
+	"snorlax/internal/ir"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata")
@@ -27,12 +29,14 @@ var historySizes = []int{512, 384, 320, 256, 192, 128, 96, 64}
 // below some snapshot must wrap. Which bugs keep their
 // root cause at which size is §7's limited-history argument,
 // measured; the smallest correct size per bug is pinned in
-// testdata/ring-history.golden (rewrite with -update).
+// testdata/ring-history.golden (rewrite with -update). A best pattern
+// with an unknown PC (a deadlock whose first lock acquisitions wrapped
+// out of the ring, from 320 B down) must never be reported as unique.
 func TestSmallRingsWrapAndDecode(t *testing.T) {
 	bugs := corpus.All()
 	correct := make(map[string][]bool, len(bugs))
 	for _, size := range historySizes {
-		wrapped := 0
+		wrapped, unknownBest := 0, 0
 		for _, b := range bugs {
 			failInst := b.Build(corpus.Variant{Failing: true})
 			sess := NewSession(failInst.Mod, b.Build(corpus.Variant{Failing: false}).Mod)
@@ -55,6 +59,12 @@ func TestSmallRingsWrapAndDecode(t *testing.T) {
 					}
 				}
 			}
+			if d.Best.Pattern != nil && slices.Contains(d.Best.Pattern.PCs, ir.NoPC) {
+				unknownBest++
+				if d.Unique {
+					t.Errorf("%s at %d B: best pattern %s has an unknown PC but is reported unique", b.ID, size, d.Best.Pattern.Key())
+				}
+			}
 			truth := Truth{Kind: failInst.TruthKind, Sub: failInst.TruthSub,
 				PCs: failInst.TruthPCs, Absence: failInst.TruthAbsence}
 			correct[b.ID] = append(correct[b.ID], MatchesTruth(d.Best.Pattern, truth))
@@ -64,6 +74,9 @@ func TestSmallRingsWrapAndDecode(t *testing.T) {
 			t.Errorf("%d thread snapshots wrapped at %d B; no corpus fill comes near it", wrapped, size)
 		case size <= 256 && wrapped == 0:
 			t.Errorf("no thread snapshot wrapped at %d B: the resync path went untested", size)
+		}
+		if size <= 320 && unknownBest == 0 {
+			t.Errorf("no best pattern had an unknown PC at %d B: the not-unique rule went untested", size)
 		}
 		t.Logf("%d B: %d wrapped thread snapshots", size, wrapped)
 	}

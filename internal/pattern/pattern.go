@@ -374,12 +374,24 @@ func Dedupe(pats []*Pattern) []*Pattern {
 	return out
 }
 
-// sortPatterns orders patterns by rank then key, for determinism.
+// sortPatterns orders patterns by rank then key, for determinism. It
+// builds each key once, before the sort.
 func sortPatterns(out []*Pattern) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
+	type keyed struct {
+		p   *Pattern
+		key string
+	}
+	ks := make([]keyed, len(out))
+	for i, p := range out {
+		ks[i] = keyed{p, p.Key()}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].p.Rank != ks[j].p.Rank {
+			return ks[i].p.Rank < ks[j].p.Rank
 		}
-		return out[i].Key() < out[j].Key()
+		return ks[i].key < ks[j].key
 	})
+	for i := range ks {
+		out[i] = ks[i].p
+	}
 }

@@ -11,8 +11,10 @@ package statdiag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"snorlax/internal/ir"
 	"snorlax/internal/pattern"
 )
 
@@ -178,10 +180,16 @@ func Rank(patterns []*pattern.Pattern, obs []Observation) []Score {
 // best: strictly higher F1 than the runner-up, or equal F1 but
 // strictly more specific (more constrained events). The paper notes
 // developers must disambiguate manually on exact ties; its evaluation
-// — and ours — never hits that case.
+// — and ours — never hits that case. A top pattern with an unknown
+// (ir.NoPC) PC is never unique: a deadlock whose held lock fell out of
+// a wrapped trace ring names only half its root cause, however it
+// scores.
 func Best(scores []Score) (Score, bool) {
 	if len(scores) == 0 {
 		return Score{}, false
+	}
+	if slices.Contains(scores[0].Pattern.PCs, ir.NoPC) {
+		return scores[0], false
 	}
 	if len(scores) == 1 {
 		return scores[0], true

@@ -274,6 +274,24 @@ func TestBestSpecificityTieBreak(t *testing.T) {
 	}
 }
 
+// TestBestUnknownPCNotUnique: a top pattern with an unknown PC is
+// reported as not unique, alone or ahead of others.
+func TestBestUnknownPCNotUnique(t *testing.T) {
+	dl := pat(pattern.KindDeadlock, "DL2", ir.NoPC, 33, ir.NoPC, 33)
+	if best, unique := Best(Rank([]*pattern.Pattern{dl}, []Observation{obs(true, dl.Key())})); unique || best.Pattern != dl {
+		t.Errorf("lone unknown-PC pattern: best = %s, unique = %v; want it, not unique", best.Pattern.Key(), unique)
+	}
+	pair := pat(pattern.KindOrderViolation, "WR", 1, 2)
+	observations := []Observation{obs(true, dl.Key()), obs(false, pair.Key())}
+	if best, unique := Best(Rank([]*pattern.Pattern{pair, dl}, observations)); unique || best.Pattern != dl {
+		t.Errorf("unknown-PC pattern ahead of another: best = %s, unique = %v; want it, not unique", best.Pattern.Key(), unique)
+	}
+	full := pat(pattern.KindDeadlock, "DL2", 12, 33, 14, 33)
+	if _, unique := Best(Rank([]*pattern.Pattern{full}, []Observation{obs(true, full.Key())})); !unique {
+		t.Error("lone deadlock with known PCs reported as not unique")
+	}
+}
+
 // TestRankTieBreakOrder pins Rank's comparator: descending F1, then
 // more PCs, then lower type rank, and only when all three tie, the
 // pattern key — whatever order the patterns arrive in.

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -94,4 +96,60 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkWALSnapshot measures one snapshot of a fleet of 64 tenants,
+// each with a ~46 KB module text and one closed case, after one
+// appended record. Every tenant is already in
+// tenants.log, so this is the steady-state snapshot: rotate, encode the
+// state without texts, write and rename it, compact.
+func BenchmarkWALSnapshot(b *testing.B) {
+	const tenants, accepts = 64, 4
+	w, err := Open(b.TempDir(), Options{SyncPolicy: SyncNever, SnapshotEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	line := strings.Repeat("x", 90) + "\n"
+	for i := 0; i < tenants; i++ {
+		tenant := fmt.Sprintf("%016x", i+1)
+		text := fmt.Sprintf("module m%d\n%s", i, strings.Repeat(line, 46<<10/len(line)))
+		recs := []*Record{
+			{Type: RecProgramRegistered, Tenant: tenant, ModuleText: text},
+			{Type: RecCaseOpened, Tenant: tenant, Case: 1, TriggerPC: 7, Want: accepts, Snapshot: testSnap(0xF0)},
+		}
+		for seq := uint64(1); seq <= accepts; seq++ {
+			recs = append(recs, &Record{Type: RecTraceAccepted, Tenant: tenant, Case: 1,
+				Client: "agent-0", Seq: seq, Snapshot: testSnap(byte(seq))})
+		}
+		recs = append(recs,
+			&Record{Type: RecQuotaReached, Tenant: tenant, Case: 1},
+			&Record{Type: RecReportPublished, Tenant: tenant, Case: 1, DiagErr: "no verdict"},
+			&Record{Type: RecCaseClosed, Tenant: tenant, Case: 1})
+		for _, rec := range recs {
+			if err := w.Append(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Each snapshot follows one record that leaves the state as it was,
+	// so every iteration encodes the same state.
+	last := fmt.Sprintf("%016x", tenants)
+	snapshot := func() {
+		if err := w.Append(&Record{Type: RecQuotaReached, Tenant: last, Case: 1}); err != nil {
+			b.Fatal(err)
+		}
+		w.mu.Lock()
+		err := w.snapshotLocked()
+		w.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	snapshot() // writes every text to tenants.log
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshot()
+	}
 }

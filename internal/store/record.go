@@ -17,6 +17,22 @@
 // truncated tails and corrupt records by truncating the log at the
 // first bad frame — everything before it is kept, everything after it
 // (necessarily unacknowledged) is dropped and counted in metrics.
+//
+// A state directory holds:
+//
+//	wal-<first LSN>.log    segments: record frames, LSN order
+//	state-<last LSN>.snap  the snapshot: one frame of the gob state,
+//	                       module texts left out
+//	tenants.log            each program's registration record once,
+//	                       in registration order, in record frames
+//
+// tenants.log is append-only and never compacted. A snapshot appends
+// the programs registered since the last one, fsyncs the file, and
+// records how many of its bytes it covers; the programs of the
+// snapshot's state take their texts from those records, in order.
+// Recovery takes the newest snapshot whose prefix scans clean, and
+// cuts tenants.log back to that prefix. A snapshot written before
+// tenants.log existed covers 0 bytes and holds its texts inline.
 package store
 
 import (
@@ -153,7 +169,8 @@ func (e *recordEncoder) prime() error {
 }
 
 // encode renders one record as a framed byte slice ready to be
-// appended to a segment.
+// appended to a segment. The slice is the encoder's buffer: it is
+// valid until the next encode.
 func (e *recordEncoder) encode(rec *Record) ([]byte, error) {
 	if e.enc == nil {
 		if err := e.prime(); err != nil {
@@ -167,7 +184,7 @@ func (e *recordEncoder) encode(rec *Record) ([]byte, error) {
 		e.enc = nil // its state is unknown after a failure
 		return nil, fmt.Errorf("store: encoding %s record: %w", rec.Type, err)
 	}
-	frame := bytes.Clone(e.buf.Bytes())
+	frame := e.buf.Bytes()
 	body := frame[frameHeaderBytes:]
 	if len(body) > maxRecordBytes {
 		return nil, fmt.Errorf("store: %s record payload is %d bytes (cap %d)", rec.Type, len(body), maxRecordBytes)

@@ -105,6 +105,18 @@ func NewState() *State {
 	return &State{byTenant: make(map[string]*ProgramState)}
 }
 
+// withoutTexts returns a copy of st whose programs leave out their
+// module texts; everything else is shared with st.
+func (st *State) withoutTexts() *State {
+	progs := make([]*ProgramState, len(st.Programs))
+	for i, p := range st.Programs {
+		cp := *p
+		cp.ModuleText = ""
+		progs[i] = &cp
+	}
+	return &State{Programs: progs}
+}
+
 // reindex rebuilds the tenant index after a gob decode.
 func (st *State) reindex() {
 	st.byTenant = make(map[string]*ProgramState, len(st.Programs))

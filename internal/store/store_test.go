@@ -482,7 +482,8 @@ func TestSnapshotCompactionAndRecovery(t *testing.T) {
 	}
 
 	// Compaction keeps only the newest snapshot and the segments past
-	// it: the active (empty) segment at LSN 10.
+	// it, the active (empty) segment at LSN 10, plus tenants.log, which
+	// it never compacts.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -495,6 +496,7 @@ func TestSnapshotCompactionAndRecovery(t *testing.T) {
 	want := []string{
 		segName(10),
 		fmt.Sprintf("%s%016d%s", snapPrefix, 9, snapSuffix),
+		tenantsFile,
 	}
 	sort.Strings(want)
 	if fmt.Sprint(names) != fmt.Sprint(want) {

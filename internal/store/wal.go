@@ -233,6 +233,12 @@ type WAL struct {
 	closed    bool
 	enc       recordEncoder
 
+	// tenants is how many of state.Programs have their registration in
+	// tenants.log, and tenantsBytes that file's length: the next
+	// snapshot appends state.Programs[tenants:] at tenantsBytes.
+	tenants      int
+	tenantsBytes int64
+
 	// syncMu serialises fsyncs of segment files, so the background
 	// flusher can fsync without holding mu, and an append waits on the
 	// disk only when it rotates or syncs itself. Lock order is mu, then
@@ -250,13 +256,18 @@ type WAL struct {
 
 // Segment and snapshot file names carry the first LSN they hold
 // (segments) or the last LSN they cover (snapshots), zero-padded so
-// lexical order is LSN order.
+// lexical order is LSN order. tenantsFile holds each program's
+// registration record once, for the snapshots to leave the module
+// texts out.
 const (
-	segPrefix  = "wal-"
-	segSuffix  = ".log"
-	snapPrefix = "state-"
-	snapSuffix = ".snap"
+	segPrefix   = "wal-"
+	segSuffix   = ".log"
+	snapPrefix  = "state-"
+	snapSuffix  = ".snap"
+	tenantsFile = "tenants.log"
 )
+
+func (w *WAL) tenantsPath() string { return filepath.Join(w.dir, tenantsFile) }
 
 func (w *WAL) segPath(first uint64) string {
 	return filepath.Join(w.dir, fmt.Sprintf("%s%016d%s", segPrefix, first, segSuffix))
@@ -325,6 +336,12 @@ func Open(dir string, opts Options) (*WAL, error) {
 type snapshotFile struct {
 	LSN   uint64
 	State *State
+	// TenantsBytes is the prefix of tenants.log the snapshot covers. It
+	// holds one registration record for each of State.Programs' first
+	// programs, in order, and the snapshot leaves out their module
+	// texts. Later programs carry their text inline: a snapshot written
+	// before tenants.log existed decodes as covering 0 bytes.
+	TenantsBytes int64
 }
 
 func encodeFramed(v any) ([]byte, error) {
@@ -368,20 +385,75 @@ func loadSnapshot(path string) (*snapshotFile, error) {
 	return &sf, nil
 }
 
+// withTexts gives the snapshot's programs the module texts of the
+// tenants.log records it covers, and returns how many programs those
+// are. recs is the scan of tenants.log. It fails when the covered
+// prefix does not end on a clean record boundary, when a record names
+// another tenant than the program in its place, or when a program
+// past the prefix has no inline text.
+func withTexts(sf *snapshotFile, recs []ScannedRecord) (int, bool) {
+	n := 0
+	switch {
+	case sf.TenantsBytes < 0:
+		return 0, false
+	case sf.TenantsBytes > 0:
+		n = sort.Search(len(recs), func(i int) bool { return int64(recs[i].End) >= sf.TenantsBytes }) + 1
+		if n > len(recs) || int64(recs[n-1].End) != sf.TenantsBytes {
+			return 0, false
+		}
+	}
+	progs := sf.State.Programs
+	if n > len(progs) {
+		return 0, false
+	}
+	for i, p := range progs {
+		if i >= n {
+			if p.ModuleText == "" {
+				return 0, false
+			}
+			continue
+		}
+		rec := recs[i].Record
+		if rec.Type != RecProgramRegistered || rec.Tenant != p.Tenant || rec.ModuleText == "" {
+			return 0, false
+		}
+		p.ModuleText = rec.ModuleText
+	}
+	return n, true
+}
+
 func (w *WAL) recover() error {
 	snaps, err := w.listFiles(snapPrefix, snapSuffix)
 	if err != nil {
 		return err
 	}
-	// Newest readable snapshot wins; a corrupt one falls back to the
-	// one before it, and ultimately to a full replay from LSN 1.
+	tlog, err := os.ReadFile(w.tenantsPath())
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	tenantRecs, _ := ScanSegment(tlog)
+	// Newest readable snapshot whose prefix of tenants.log is intact
+	// wins; any other falls back to the one before it, and ultimately
+	// to a full replay from LSN 1.
 	for i := len(snaps) - 1; i >= 0; i-- {
 		sf, err := loadSnapshot(w.snapPath(snaps[i]))
 		if err != nil {
 			continue
 		}
+		n, ok := withTexts(sf, tenantRecs)
+		if !ok {
+			continue
+		}
 		w.state, w.lsn = sf.State, sf.LSN
+		w.tenants, w.tenantsBytes = n, sf.TenantsBytes
 		break
+	}
+	// Records past the prefix belong to a snapshot that never landed;
+	// their programs' registrations are still in the segments.
+	if int64(len(tlog)) > w.tenantsBytes {
+		if err := os.Truncate(w.tenantsPath(), w.tenantsBytes); err != nil {
+			return err
+		}
 	}
 	segs, err := w.listFiles(segPrefix, segSuffix)
 	if err != nil {
@@ -607,14 +679,25 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
+// snapshotStep is called after each file step of a snapshot; the
+// crash tests replace it to copy the directory as a crash there would
+// leave it.
+var snapshotStep = func(step string) {}
+
 // snapshotLocked rotates (so the snapshot lands on a segment
-// boundary), writes the state mirror atomically, and compacts away
-// every segment the snapshot covers plus all older snapshots.
+// boundary), appends the programs registered since the last snapshot
+// to tenants.log, writes the state mirror without module texts
+// atomically, and compacts away every segment the snapshot covers
+// plus all older snapshots.
 func (w *WAL) snapshotLocked() error {
 	if err := w.rotateLocked(); err != nil {
 		return err
 	}
-	frame, err := encodeFramed(&snapshotFile{LSN: w.lsn, State: w.state})
+	if err := w.appendTenantsLocked(); err != nil {
+		w.fail(err)
+		return w.err
+	}
+	frame, err := encodeFramed(&snapshotFile{LSN: w.lsn, State: w.state.withoutTexts(), TenantsBytes: w.tenantsBytes})
 	if err != nil {
 		w.fail(err)
 		return w.err
@@ -625,17 +708,64 @@ func (w *WAL) snapshotLocked() error {
 		w.fail(err)
 		return w.err
 	}
+	snapshotStep("snapshot-written")
 	if err := os.Rename(tmp, final); err != nil {
 		w.fail(err)
 		return w.err
 	}
+	snapshotStep("snapshot-renamed")
 	if err := w.syncDir(); err != nil {
 		w.fail(err)
 		return w.err
 	}
 	w.m.snapshots.Inc()
 	w.sinceSnap = 0
-	return w.compactLocked(w.lsn)
+	if err := w.compactLocked(w.lsn); err != nil {
+		return err
+	}
+	snapshotStep("compacted")
+	return nil
+}
+
+// appendTenantsLocked appends the registration records of the programs
+// registered since the last snapshot to tenants.log, in the segments'
+// frame format, and fsyncs it. A new file's directory entry becomes
+// durable with the snapshot's directory sync, before any snapshot
+// refers to the file.
+func (w *WAL) appendTenantsLocked() error {
+	progs := w.state.Programs[w.tenants:]
+	if len(progs) == 0 {
+		return nil
+	}
+	f, err := os.OpenFile(w.tenantsPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	bw := bufio.NewWriterSize(f, 1<<16)
+	var n int64
+	for _, p := range progs {
+		frame, err := w.enc.encode(&Record{Type: RecProgramRegistered, Tenant: p.Tenant, ModuleText: p.ModuleText})
+		if err != nil {
+			return err
+		}
+		if _, err := bw.Write(frame); err != nil {
+			return err
+		}
+		n += int64(len(frame))
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	snapshotStep("tenants-appended")
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	w.m.fsyncs.Inc()
+	snapshotStep("tenants-synced")
+	w.tenants += len(progs)
+	w.tenantsBytes += n
+	return f.Close()
 }
 
 func (w *WAL) writeFileSynced(path string, data []byte) error {

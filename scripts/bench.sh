@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — record or compare the gated layer benchmarks (VM
-# execution, one traced run through the PT encoder, wire upload, and
-# the root package's success-trace diagnosis and trace decode) with a
+# execution, one traced run through the PT encoder, wire upload, the
+# root package's success-trace diagnosis and trace decode, and the
+# store's WAL append, recovery replay and snapshot) with a
 # fixed, repeatable discipline (one pattern per package, -count=6,
 # -benchmem), so any two result files are comparable by benchstat or
 # scripts/benchgate.
@@ -17,8 +18,9 @@
 # The perf CI lane records bench-head.txt, renders a benchstat report
 # artifact against the checked-in .github/bench-baseline.txt, and
 # gates with scripts/benchgate (>10% normalized regression at p<0.05
-# fails the lane, the traced run, wire upload and the root benchmarks
-# included, as does losing the bytecode engine's >=3x speedup).
+# fails the lane, the traced run, wire upload, the root and the store
+# benchmarks included, as does losing the bytecode engine's >=3x
+# speedup).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +34,7 @@ BENCHES=(
   '^BenchmarkWireUpload$' ./internal/shard
   '^BenchmarkDiagnoseManySuccesses$/^serial$' .
   '^BenchmarkTraceDecode$' .
+  '^Benchmark(WALAppend|RecoveryReplay|WALSnapshot)$' ./internal/store
 )
 
 record() {

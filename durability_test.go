@@ -170,39 +170,82 @@ entry:
 `, consumerDelay, mainDelay))
 }
 
-// TestStoreOverheadBudget is the hermetic durability-cost check: the
-// full fleet e2e with the default interval-sync WAL must stay within
-// 10% of the in-memory server's wall time. The median ratio of
-// interleaved pairs sheds scheduler noise, exactly like the
-// observability budget test.
+// TestStoreOverheadBudget checks what durability costs the fleet path.
+// Everywhere, it counts fsyncs per acknowledged record over a full
+// fleet e2e: none under the default interval policy, whose appends
+// never wait for the disk, and exactly one under SyncAlways, which
+// shows the count sees every fsync an append issues. Its wall_clock
+// subtest is the hermetic budget: the same e2e with the default
+// interval-sync WAL must stay within 10% of the in-memory server's
+// wall time, by the median ratio of interleaved pairs, exactly like
+// the observability budget. It runs only in CI's perf lane (see
+// wallClockBudget).
 func TestStoreOverheadBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; skipped with -short")
-	}
 	failProg, okProg := spinUAFProgram(true), spinUAFProgram(false)
-	sample := func(durable bool) time.Duration {
-		cfg := snorlax.ServeConfig{}
-		if durable {
-			cfg.StateDir = t.TempDir()
-			cfg.SyncPolicy = snorlax.SyncInterval
+	for _, tc := range []struct {
+		policy snorlax.SyncPolicy
+		perRec uint64
+	}{{snorlax.SyncInterval, 0}, {snorlax.SyncAlways, 1}} {
+		records, fsyncs := fleetStoreCounts(t, failProg, okProg, tc.policy)
+		if records == 0 || fsyncs != tc.perRec*records {
+			t.Errorf("%v: %d fsyncs for %d acknowledged records, want %d per record",
+				tc.policy, fsyncs, records, tc.perRec)
 		}
-		srv, _, d := runPublicFleet(t, failProg, okProg, cfg)
-		shutdownPublic(t, srv)
-		return d
 	}
-	// Warm both paths (listener setup, scheduler, page cache) once.
-	sample(false)
-	sample(true)
-	// One fleet run's work varies by ±15% with agent timing, so the
-	// median needs more pairs here than for the fixed diagnosis: at
-	// ~15ms a run, 120 pairs keep the median's spread well inside the
-	// budget for about four seconds of wall time.
-	overhead, medOn, medOff := pairedOverhead(120,
-		func() time.Duration { return sample(false) },
-		func() time.Duration { return sample(true) })
-	t.Logf("fleet e2e: durable %v, in-memory %v, overhead %.2f%%", medOn, medOff, overhead)
-	if overhead > 10 {
-		t.Errorf("durable store overhead %.2f%% exceeds the 10%% budget (durable %v, in-memory %v)",
-			overhead, medOn, medOff)
+
+	t.Run("wall_clock", func(t *testing.T) {
+		wallClockBudget(t)
+		sample := func(durable bool) time.Duration {
+			cfg := snorlax.ServeConfig{}
+			if durable {
+				cfg.StateDir = t.TempDir()
+				cfg.SyncPolicy = snorlax.SyncInterval
+			}
+			srv, _, d := runPublicFleet(t, failProg, okProg, cfg)
+			shutdownPublic(t, srv)
+			return d
+		}
+		// Warm both paths (listener setup, scheduler, page cache) once.
+		sample(false)
+		sample(true)
+		// One fleet run's work varies by ±15% with agent timing, so the
+		// median needs more pairs here than for the fixed diagnosis: at
+		// ~15ms a run, 120 pairs keep the median's spread well inside the
+		// budget for about four seconds of wall time.
+		overhead, medOn, medOff := pairedOverhead(120,
+			func() time.Duration { return sample(false) },
+			func() time.Duration { return sample(true) })
+		t.Logf("fleet e2e: durable %v, in-memory %v, overhead %.2f%%", medOn, medOff, overhead)
+		if overhead > 10 {
+			t.Errorf("durable store overhead %.2f%% exceeds the 10%% budget (durable %v, in-memory %v)",
+				overhead, medOn, medOff)
+		}
+	})
+}
+
+// fleetStoreCounts runs one fleet e2e against a durable server with the
+// given sync policy and returns the records the collection appended
+// and the fsyncs it issued, registration left out. The background
+// flusher's period is far beyond the run, so every fsync counted is
+// one that an append waited for.
+func fleetStoreCounts(t *testing.T, failProg, okProg *snorlax.Program, policy snorlax.SyncPolicy) (records, fsyncs uint64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ln.Close()
+	srv, err := snorlax.NewServer(failProg, snorlax.ServeConfig{
+		StateDir: t.TempDir(), SyncPolicy: policy, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Store()
+	go srv.Serve(ln)
+	if _, err := snorlax.RunFleet("tcp", ln.Addr().String(), failProg, okProg, snorlax.FleetConfig{Clients: 4}); err != nil {
+		t.Fatal(err)
+	}
+	after := srv.Store()
+	shutdownPublic(t, srv)
+	return after.AppendedRecords - before.AppendedRecords, after.Fsyncs - before.Fsyncs
 }

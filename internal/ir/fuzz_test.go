@@ -7,7 +7,8 @@ import (
 
 // FuzzParse checks the parser's total robustness: any input either
 // fails with a ParseError-shaped error or produces a verified module
-// whose printed form is a parse/print fixpoint.
+// whose printed form is a parse/print fixpoint. The printed form must
+// also match the reference printer byte for byte.
 func FuzzParse(f *testing.F) {
 	f.Add(sampleSrc)
 	f.Add(cfgSrc)
@@ -28,6 +29,7 @@ entry:
 	f.Add("not a module at all")
 	f.Add("module x\nstruct S {\n a: [3]*int\n}\nglobal g: *S\nfunc main() {\nentry:\n  %p = load @g\n  ret\n}\n")
 	f.Add("module y\nfunc main() {\nentry:\n  %x = add 1, 9223372036854775807\n  print %x\n  ret\n}\n")
+	f.Add("module z\nglobal g: *[2]int\nglobal h: *func(int) bool = -3\nfunc f(a: *[2]int, b: int) bool {\nentry:\n  %c = eq %b, -1\n  ret %c\n}\nfunc main() {\nentry:\n  store null:*[2]int, @g\n  %r = call f(null:*[2]int, 4)\n  assert %r, \"tab\\there \\\"q\\\" \\u00e9\"\n  print\n  ret\n}\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := Parse(src)
@@ -35,6 +37,9 @@ entry:
 			return // rejection is fine; panics are not
 		}
 		text := Print(m)
+		if ref := referencePrint(m); text != ref {
+			t.Fatalf("Print differs from the reference printer:\n%s\nreference:\n%s", text, ref)
+		}
 		m2, err := Parse(text)
 		if err != nil {
 			t.Fatalf("printed module does not reparse: %v\n%s", err, text)

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Op identifies the operation performed by an instruction.
@@ -118,9 +117,7 @@ func (i *AllocaInstr) Def() *Reg { return i.Dst }
 // Uses implements Instr.
 func (*AllocaInstr) Uses() []Value { return nil }
 
-func (i *AllocaInstr) String() string {
-	return fmt.Sprintf("%s = alloca %s", i.Dst, i.Elem)
-}
+func (i *AllocaInstr) String() string { return instrString(i) }
 
 // NewInstr allocates heap storage for one value of type Elem and
 // assigns its address to Dst. Heap storage lives for the rest of the
@@ -140,9 +137,7 @@ func (i *NewInstr) Def() *Reg { return i.Dst }
 // Uses implements Instr.
 func (*NewInstr) Uses() []Value { return nil }
 
-func (i *NewInstr) String() string {
-	return fmt.Sprintf("%s = new %s", i.Dst, i.Elem)
-}
+func (i *NewInstr) String() string { return instrString(i) }
 
 // LoadInstr reads the value at address Addr into Dst.
 type LoadInstr struct {
@@ -160,9 +155,7 @@ func (i *LoadInstr) Def() *Reg { return i.Dst }
 // Uses implements Instr.
 func (i *LoadInstr) Uses() []Value { return []Value{i.Addr} }
 
-func (i *LoadInstr) String() string {
-	return fmt.Sprintf("%s = load %s", i.Dst, i.Addr)
-}
+func (i *LoadInstr) String() string { return instrString(i) }
 
 // StoreInstr writes Val to the address Addr.
 type StoreInstr struct {
@@ -180,9 +173,7 @@ func (*StoreInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *StoreInstr) Uses() []Value { return []Value{i.Val, i.Addr} }
 
-func (i *StoreInstr) String() string {
-	return fmt.Sprintf("store %s, %s", i.Val, i.Addr)
-}
+func (i *StoreInstr) String() string { return instrString(i) }
 
 // FieldAddrInstr computes the address of field Field of the struct
 // pointed to by Base and assigns it to Dst (the GEP analogue).
@@ -211,13 +202,7 @@ func (i *FieldAddrInstr) StructType() *StructType {
 	return nil
 }
 
-func (i *FieldAddrInstr) String() string {
-	name := fmt.Sprintf("#%d", i.Field)
-	if st := i.StructType(); st != nil && i.Field < len(st.Fields) {
-		name = st.Fields[i.Field].Name
-	}
-	return fmt.Sprintf("%s = fieldaddr %s, %s", i.Dst, i.Base, name)
-}
+func (i *FieldAddrInstr) String() string { return instrString(i) }
 
 // IndexAddrInstr computes the address of element Index of the array
 // pointed to by Base and assigns it to Dst.
@@ -237,9 +222,7 @@ func (i *IndexAddrInstr) Def() *Reg { return i.Dst }
 // Uses implements Instr.
 func (i *IndexAddrInstr) Uses() []Value { return []Value{i.Base, i.Index} }
 
-func (i *IndexAddrInstr) String() string {
-	return fmt.Sprintf("%s = indexaddr %s, %s", i.Dst, i.Base, i.Index)
-}
+func (i *IndexAddrInstr) String() string { return instrString(i) }
 
 // BinOp identifies a binary operation.
 type BinOp int
@@ -297,9 +280,7 @@ func (i *BinInstr) Def() *Reg { return i.Dst }
 // Uses implements Instr.
 func (i *BinInstr) Uses() []Value { return []Value{i.X, i.Y} }
 
-func (i *BinInstr) String() string {
-	return fmt.Sprintf("%s = %s %s, %s", i.Dst, i.BOp, i.X, i.Y)
-}
+func (i *BinInstr) String() string { return instrString(i) }
 
 // CastInstr reinterprets Val as type To and assigns it to Dst. Casts
 // between pointer types model the C-style type punning that makes
@@ -321,9 +302,7 @@ func (i *CastInstr) Def() *Reg { return i.Dst }
 // Uses implements Instr.
 func (i *CastInstr) Uses() []Value { return []Value{i.Val} }
 
-func (i *CastInstr) String() string {
-	return fmt.Sprintf("%s = cast %s to %s", i.Dst, i.Val, i.To)
-}
+func (i *CastInstr) String() string { return instrString(i) }
 
 // BrInstr is an unconditional branch.
 type BrInstr struct {
@@ -340,7 +319,7 @@ func (*BrInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (*BrInstr) Uses() []Value { return nil }
 
-func (i *BrInstr) String() string { return "br " + i.Target.Name }
+func (i *BrInstr) String() string { return instrString(i) }
 
 // CondBrInstr branches to Then when Cond is true, else to Else.
 type CondBrInstr struct {
@@ -359,9 +338,7 @@ func (*CondBrInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *CondBrInstr) Uses() []Value { return []Value{i.Cond} }
 
-func (i *CondBrInstr) String() string {
-	return fmt.Sprintf("condbr %s, %s, %s", i.Cond, i.Then.Name, i.Else.Name)
-}
+func (i *CondBrInstr) String() string { return instrString(i) }
 
 // CallInstr calls Callee with Args; when the callee returns a value
 // and Dst is non-nil the result is assigned to Dst. Callee is either a
@@ -394,17 +371,7 @@ func (i *CallInstr) StaticCallee() *Func {
 	return nil
 }
 
-func (i *CallInstr) String() string {
-	args := make([]string, len(i.Args))
-	for j, a := range i.Args {
-		args[j] = a.String()
-	}
-	call := fmt.Sprintf("call %s(%s)", i.Callee, strings.Join(args, ", "))
-	if i.Dst != nil {
-		return i.Dst.String() + " = " + call
-	}
-	return call
-}
+func (i *CallInstr) String() string { return instrString(i) }
 
 // RetInstr returns from the current function with optional value Val.
 type RetInstr struct {
@@ -426,12 +393,7 @@ func (i *RetInstr) Uses() []Value {
 	return []Value{i.Val}
 }
 
-func (i *RetInstr) String() string {
-	if i.Val == nil {
-		return "ret"
-	}
-	return "ret " + i.Val.String()
-}
+func (i *RetInstr) String() string { return instrString(i) }
 
 // SpawnInstr starts a new thread running Callee(Args...) and assigns
 // the new thread's id to Dst.
@@ -461,13 +423,7 @@ func (i *SpawnInstr) StaticCallee() *Func {
 	return nil
 }
 
-func (i *SpawnInstr) String() string {
-	args := make([]string, len(i.Args))
-	for j, a := range i.Args {
-		args[j] = a.String()
-	}
-	return fmt.Sprintf("%s = spawn %s(%s)", i.Dst, i.Callee, strings.Join(args, ", "))
-}
+func (i *SpawnInstr) String() string { return instrString(i) }
 
 // JoinInstr blocks until the thread identified by Tid exits.
 type JoinInstr struct {
@@ -484,7 +440,7 @@ func (*JoinInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *JoinInstr) Uses() []Value { return []Value{i.Tid} }
 
-func (i *JoinInstr) String() string { return "join " + i.Tid.String() }
+func (i *JoinInstr) String() string { return instrString(i) }
 
 // LockInstr acquires the mutex at address Addr, blocking until it is
 // available.
@@ -502,7 +458,7 @@ func (*LockInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *LockInstr) Uses() []Value { return []Value{i.Addr} }
 
-func (i *LockInstr) String() string { return "lock " + i.Addr.String() }
+func (i *LockInstr) String() string { return instrString(i) }
 
 // UnlockInstr releases the mutex at address Addr.
 type UnlockInstr struct {
@@ -519,7 +475,7 @@ func (*UnlockInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *UnlockInstr) Uses() []Value { return []Value{i.Addr} }
 
-func (i *UnlockInstr) String() string { return "unlock " + i.Addr.String() }
+func (i *UnlockInstr) String() string { return instrString(i) }
 
 // SleepInstr advances the executing thread's virtual time by Dur
 // nanoseconds. Sleep models everything that makes real systems
@@ -539,7 +495,7 @@ func (*SleepInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *SleepInstr) Uses() []Value { return []Value{i.Dur} }
 
-func (i *SleepInstr) String() string { return "sleep " + i.Dur.String() }
+func (i *SleepInstr) String() string { return instrString(i) }
 
 // AssertInstr crashes the program with Msg when Cond is false. It is
 // the custom-failure hook the paper describes for non fail-stop bugs.
@@ -558,9 +514,7 @@ func (*AssertInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *AssertInstr) Uses() []Value { return []Value{i.Cond} }
 
-func (i *AssertInstr) String() string {
-	return fmt.Sprintf("assert %s, %q", i.Cond, i.Msg)
-}
+func (i *AssertInstr) String() string { return instrString(i) }
 
 // PrintInstr appends the values of Args to the VM's output log. It
 // exists for examples and debugging and has no analysis significance.
@@ -578,13 +532,7 @@ func (*PrintInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *PrintInstr) Uses() []Value { return i.Args }
 
-func (i *PrintInstr) String() string {
-	args := make([]string, len(i.Args))
-	for j, a := range i.Args {
-		args[j] = a.String()
-	}
-	return "print " + strings.Join(args, ", ")
-}
+func (i *PrintInstr) String() string { return instrString(i) }
 
 // WaitInstr atomically releases the mutex at Mu, blocks until the
 // condition variable at Cv is notified, then reacquires Mu before
@@ -606,9 +554,7 @@ func (*WaitInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *WaitInstr) Uses() []Value { return []Value{i.Mu, i.Cv} }
 
-func (i *WaitInstr) String() string {
-	return fmt.Sprintf("wait %s, %s", i.Mu, i.Cv)
-}
+func (i *WaitInstr) String() string { return instrString(i) }
 
 // NotifyInstr wakes every thread waiting on the condition variable at
 // Cv (broadcast semantics). Notifies with no waiter are lost.
@@ -626,7 +572,7 @@ func (*NotifyInstr) Def() *Reg { return nil }
 // Uses implements Instr.
 func (i *NotifyInstr) Uses() []Value { return []Value{i.Cv} }
 
-func (i *NotifyInstr) String() string { return "notify " + i.Cv.String() }
+func (i *NotifyInstr) String() string { return instrString(i) }
 
 // IsTerminator reports whether the instruction ends a basic block.
 func IsTerminator(in Instr) bool {

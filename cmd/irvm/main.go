@@ -2,10 +2,15 @@
 //
 // Usage:
 //
-//	irvm [-seed N] [-trace] [-watch pc,pc,...] program.ir
+//	irvm [-seed N] [-maxsteps N] [-trace] [-watch pc,pc,...] [-races] program.ir
+//	irvm -dump program.ir
+//	irvm -disasm program.ir
 //
-// It prints the program's output, the failure (if any), and with
-// -trace the control-flow tracer's packet statistics.
+// It runs the program on the VM's bytecode engine and prints the
+// program's output, the failure (if any), and with -trace the
+// control-flow tracer's packet statistics. -races runs it under the
+// lockset race detector instead; -dump lists the parsed instructions
+// with their PCs and -disasm the compiled bytecode.
 package main
 
 import (
@@ -29,7 +34,6 @@ var (
 	maxSteps = flag.Int64("maxsteps", 0, "instruction budget (0 = default)")
 	dump     = flag.Bool("dump", false, "print the parsed program with PCs and exit")
 	races    = flag.Bool("races", false, "run under the lockset race detector and report races")
-	engine   = flag.String("engine", "bytecode", "execution engine: bytecode or treewalk")
 	disasm   = flag.Bool("disasm", false, "print the compiled bytecode listing and exit")
 )
 
@@ -54,25 +58,12 @@ func main() {
 		return
 	}
 	if *disasm {
-		prog, err := bytecode.Compile(mod)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(prog.Disasm())
+		fmt.Print(bytecode.Compile(mod).Disasm())
 		return
-	}
-	var eng vm.Engine
-	switch *engine {
-	case "bytecode":
-		eng = vm.EngineBytecode
-	case "treewalk":
-		eng = vm.EngineTreeWalk
-	default:
-		fatal(fmt.Errorf("bad -engine %q (want bytecode or treewalk)", *engine))
 	}
 
 	if *races {
-		found, res := racedet.Detect(mod, vm.Config{Seed: *seed, MaxSteps: *maxSteps, Engine: eng})
+		found, res := racedet.Detect(mod, vm.Config{Seed: *seed, MaxSteps: *maxSteps})
 		for _, r := range found {
 			a, b := mod.InstrAt(r.First), mod.InstrAt(r.Second)
 			fmt.Printf("race: %-36s [%s]\n  vs: %-36s [%s]\n", a, a.Block(), b, b.Block())
@@ -87,7 +78,7 @@ func main() {
 		return
 	}
 
-	cfg := vm.Config{Seed: *seed, MaxSteps: *maxSteps, Engine: eng}
+	cfg := vm.Config{Seed: *seed, MaxSteps: *maxSteps}
 	var enc *pt.Encoder
 	if *trace {
 		enc = pt.NewEncoder(pt.Config{})

@@ -31,6 +31,15 @@ entry:
 	f.Add("module y\nfunc main() {\nentry:\n  %x = add 1, 9223372036854775807\n  print %x\n  ret\n}\n")
 	f.Add("module z\nglobal g: *[2]int\nglobal h: *func(int) bool = -3\nfunc f(a: *[2]int, b: int) bool {\nentry:\n  %c = eq %b, -1\n  ret %c\n}\nfunc main() {\nentry:\n  store null:*[2]int, @g\n  %r = call f(null:*[2]int, 4)\n  assert %r, \"tab\\there \\\"q\\\" \\u00e9\"\n  print\n  ret\n}\n")
 
+	// Typed nulls in every operand position that prints them.
+	f.Add("module n\nstruct S {\n  f: int\n}\nfunc main() {\nentry:\n  %p = cast null:*S to *int\n  ret\n}\n")
+	f.Add("module n\nstruct S {\n  f: int\n}\nfunc main() {\nentry:\n  %p = fieldaddr null:*S, f\n  ret\n}\n")
+	f.Add("module n\nfunc main() {\nentry:\n  %p = indexaddr null:*[2]int, 0\n  ret\n}\n")
+	// Comment markers inside assert messages.
+	f.Add("module c\nfunc main() {\nentry:\n  assert true, \"\\x23 issue\"\n  ret\n}\n")
+	f.Add("module c\nfunc main() {\nentry:\n  assert true, \"a // b\" // c\n  ret\n}\n")
+	f.Add("module c\nfunc main() {\nentry:\n  assert true, \"\\\"# d\\\"\" # \"e\n  ret\n}\n")
+
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := Parse(src)
 		if err != nil {

@@ -47,6 +47,7 @@ func Parse(src string) (*Module, error) {
 		globals: map[string]*GlobalRef{},
 		consts:  map[int64]*Const{},
 		ptrs:    map[Type]*PtrType{},
+		arrays:  map[arrayKey]*ArrayType{},
 	}
 	if err := p.run(src); err != nil {
 		return nil, err
@@ -78,13 +79,21 @@ type parser struct {
 	// funcs and globals index the module's declarations by name; pass
 	// 1 fills them and every operand looks its name up in them. Like
 	// the Builder's, one GlobalRef serves every use of its global;
-	// consts holds one Const per integer literal and ptrs one PtrType
-	// per element type. A parsed module is long-lived, and the garbage
-	// collector marks every object in it on every cycle.
+	// consts holds one Const per integer literal, ptrs one PtrType per
+	// element type and arrays one ArrayType per element type and
+	// length. A parsed module is long-lived, and the garbage collector
+	// marks every object in it on every cycle; Verify checks each
+	// shared type once.
 	funcs   map[string]*Func
 	globals map[string]*GlobalRef
 	consts  map[int64]*Const
 	ptrs    map[Type]*PtrType
+	arrays  map[arrayKey]*ArrayType
+}
+
+type arrayKey struct {
+	elem Type
+	n    int64
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -112,7 +121,12 @@ func (p *parser) run(src string) error {
 	return p.parseBodies()
 }
 
+// stripComment cuts a "#" or "//" comment from line and trims it. A
+// marker inside an assert's quoted message is part of the message.
 func stripComment(line string) string {
+	if strings.IndexByte(line, '"') >= 0 {
+		return strings.TrimSpace(line[:commentStart(line)])
+	}
 	if i := strings.Index(line, "//"); i >= 0 {
 		line = line[:i]
 	}
@@ -120,6 +134,23 @@ func stripComment(line string) string {
 		line = line[:i]
 	}
 	return strings.TrimSpace(line)
+}
+
+// commentStart returns where line's comment starts, or len(line):
+// the first "#" or "//" outside a Go-quoted string.
+func commentStart(line string) int {
+	quoted := false
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case quoted && c == '\\':
+			i++ // the escaped byte cannot end the string
+		case c == '"':
+			quoted = !quoted
+		case !quoted && (c == '#' || c == '/' && strings.HasPrefix(line[i:], "//")):
+			return i
+		}
+	}
+	return len(line)
 }
 
 func (p *parser) scanDecls() error {
@@ -307,8 +338,9 @@ func (p *parser) scanFuncHeader(start int) (end int, err error) {
 	return len(p.lines), p.errf("unterminated function %s", name)
 }
 
-// ptrTo returns the module's one pointer type to elem. Pointer types
-// compare structurally (TypesEqual), so sharing one is invisible.
+// ptrTo returns the module's one pointer type to elem. Pointer and
+// array types compare structurally (TypesEqual), so sharing one is
+// invisible.
 func (p *parser) ptrTo(elem Type) *PtrType {
 	pt := p.ptrs[elem]
 	if pt == nil {
@@ -373,7 +405,12 @@ func (p *parser) parseType(s string) (Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ArrayOf(elem, n), nil
+		at := p.arrays[arrayKey{elem, n}]
+		if at == nil {
+			at = ArrayOf(elem, n)
+			p.arrays[arrayKey{elem, n}] = at
+		}
+		return at, nil
 	case s != "" && !strings.ContainsAny(s, " \t(),"):
 		return p.structByName(s), nil
 	}

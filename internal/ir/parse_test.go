@@ -311,3 +311,28 @@ entry:
 		t.Fatal("comments not stripped")
 	}
 }
+
+// TestParseCommentMarkersInAssertMessage: "#" and "//" start a
+// comment only outside an assert's quoted message.
+func TestParseCommentMarkersInAssertMessage(t *testing.T) {
+	src := `
+module m
+func main() {
+entry:
+  assert true, "\x23 issue" # comment
+  assert true, "a // b \"c # d\"" // comment "e"
+  assert true, "f" # "g"
+  ret
+}
+`
+	var msgs []string
+	mustParse(t, src).Instrs(func(in Instr) {
+		if a, ok := in.(*AssertInstr); ok {
+			msgs = append(msgs, a.Msg)
+		}
+	})
+	want := []string{"# issue", `a // b "c # d"`, "f"}
+	if strings.Join(msgs, "|") != strings.Join(want, "|") {
+		t.Fatalf("messages = %q, want %q", msgs, want)
+	}
+}

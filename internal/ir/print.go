@@ -90,10 +90,8 @@ func instrString(in Instr) string {
 // appendInstr appends the text of in: Print's form when parseable is
 // set, String's form otherwise. They differ in one thing: Print writes
 // a typed null operand as "null:T", so the parser can recover its
-// type, and String writes "null". Print has always written the callee
-// and the operands of fieldaddr, indexaddr and cast in String's form;
-// they pass false so that every printed module, and so every tenant
-// id, stays what it was.
+// type, and String writes "null". A callee is always written in
+// String's form: a null callee does not verify.
 func appendInstr(b []byte, in Instr, parseable bool) []byte {
 	switch i := in.(type) {
 	case *AllocaInstr:
@@ -105,19 +103,19 @@ func appendInstr(b []byte, in Instr, parseable bool) []byte {
 	case *StoreInstr:
 		return appendValues(append(b, "store "...), parseable, i.Val, i.Addr)
 	case *FieldAddrInstr:
-		b = appendValue(append(appendDst(b, i.Dst), "fieldaddr "...), i.Base, false)
+		b = appendValue(append(appendDst(b, i.Dst), "fieldaddr "...), i.Base, parseable)
 		b = append(b, ", "...)
 		if st := i.StructType(); st != nil && i.Field < len(st.Fields) {
 			return append(b, st.Fields[i.Field].Name...)
 		}
 		return strconv.AppendInt(append(b, '#'), int64(i.Field), 10)
 	case *IndexAddrInstr:
-		return appendValues(append(appendDst(b, i.Dst), "indexaddr "...), false, i.Base, i.Index)
+		return appendValues(append(appendDst(b, i.Dst), "indexaddr "...), parseable, i.Base, i.Index)
 	case *BinInstr:
 		b = append(append(appendDst(b, i.Dst), i.BOp.String()...), ' ')
 		return appendValues(b, parseable, i.X, i.Y)
 	case *CastInstr:
-		b = appendValue(append(appendDst(b, i.Dst), "cast "...), i.Val, false)
+		b = appendValue(append(appendDst(b, i.Dst), "cast "...), i.Val, parseable)
 		return appendType(append(b, " to "...), i.To)
 	case *BrInstr:
 		return append(append(b, "br "...), i.Target.Name...)

@@ -9,9 +9,11 @@ import (
 // its oracle: Print must match it byte for byte on every module,
 // because a tenant's id is the SHA-256 of the printed text and a
 // restored tenant re-checks that id when it loads. The instructions it
-// used to render through their String methods are rendered by
-// refInstrString, those methods' former fmt bodies, so the oracle
-// shares no instruction rendering with Print.
+// used to render through their String methods are rendered here by
+// those methods' former fmt bodies, so the oracle shares no
+// instruction rendering with Print. Like Print, it writes a typed null
+// as "null:T" in every operand position but a callee's, so that every
+// printed module reparses.
 func referencePrint(m *Module) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module %s\n", m.Name)
@@ -99,33 +101,24 @@ func refInstr(in Instr) string {
 		return fmt.Sprintf("wait %s, %s", refOperand(i.Mu), refOperand(i.Cv))
 	case *NotifyInstr:
 		return "notify " + refOperand(i.Cv)
-	default:
-		return refInstrString(in)
-	}
-}
-
-// refInstrString is the String rendering of the instructions refInstr
-// does not handle itself.
-func refInstrString(in Instr) string {
-	switch i := in.(type) {
-	case *AllocaInstr:
-		return fmt.Sprintf("%s = alloca %s", i.Dst, i.Elem)
-	case *NewInstr:
-		return fmt.Sprintf("%s = new %s", i.Dst, i.Elem)
 	case *FieldAddrInstr:
 		name := fmt.Sprintf("#%d", i.Field)
 		if st := i.StructType(); st != nil && i.Field < len(st.Fields) {
 			name = st.Fields[i.Field].Name
 		}
-		return fmt.Sprintf("%s = fieldaddr %s, %s", i.Dst, i.Base, name)
+		return fmt.Sprintf("%s = fieldaddr %s, %s", i.Dst, refOperand(i.Base), name)
 	case *IndexAddrInstr:
-		return fmt.Sprintf("%s = indexaddr %s, %s", i.Dst, i.Base, i.Index)
+		return fmt.Sprintf("%s = indexaddr %s, %s", i.Dst, refOperand(i.Base), refOperand(i.Index))
 	case *CastInstr:
-		return fmt.Sprintf("%s = cast %s to %s", i.Dst, i.Val, i.To)
+		return fmt.Sprintf("%s = cast %s to %s", i.Dst, refOperand(i.Val), i.To)
+	case *AllocaInstr:
+		return fmt.Sprintf("%s = alloca %s", i.Dst, i.Elem)
+	case *NewInstr:
+		return fmt.Sprintf("%s = new %s", i.Dst, i.Elem)
 	case *BrInstr:
 		return "br " + i.Target.Name
 	}
-	panic(fmt.Sprintf("refInstrString: unhandled %T", in))
+	panic(fmt.Sprintf("refInstr: unhandled %T", in))
 }
 
 func refOperands(vs []Value) string {

@@ -210,3 +210,105 @@ func TestVerifyAcceptsValidModule(t *testing.T) {
 		t.Fatalf("valid module rejected: %v", err)
 	}
 }
+
+// The rejections below are every module the bytecode compiler could
+// not encode, so a Verify-clean module always compiles.
+
+func TestVerifyArrayLengthTooLong(t *testing.T) {
+	b := NewBuilder("uncompilable")
+	f := b.Func("main", Void)
+	e := f.Block("entry")
+	arr := e.Alloca(ArrayOf(Int, int64(1)<<33))
+	p := e.IndexAddr(arr, ConstInt(0))
+	e.Store(ConstInt(42), p)
+	e.Print(e.Load(p))
+	e.RetVoid()
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), "length outside [0, 2147483647]") {
+		t.Fatalf("Build error = %v, want an array length rejection", err)
+	}
+}
+
+func TestVerifyNegativeArrayLength(t *testing.T) {
+	m := rawModule(func(m *Module) {
+		at := ArrayOf(Int, -3)
+		mainWith(m,
+			&AllocaInstr{anInstr: newAnInstr(), Dst: &Reg{Name: "a", Typ: PtrTo(at)}, Elem: at},
+			&RetInstr{anInstr: newAnInstr()})
+	})
+	wantVerifyError(t, m, "length outside")
+}
+
+// TestVerifyNestedArrayTooLarge: every length fits an int32 but the
+// size in words does not, and its size in bytes would overflow int64.
+// The type is reported once, though two instructions use it.
+func TestVerifyNestedArrayTooLarge(t *testing.T) {
+	at := ArrayOf(ArrayOf(ArrayOf(Int, 4), 1<<31-1), 1<<31-1)
+	m := rawModule(func(m *Module) {
+		a := &Reg{Name: "a", Typ: PtrTo(at)}
+		mainWith(m,
+			&AllocaInstr{anInstr: newAnInstr(), Dst: a, Elem: at},
+			&IndexAddrInstr{anInstr: newAnInstr(), Dst: &Reg{Name: "p", Typ: PtrTo(at.Elem)}, Base: a, Index: ConstInt(0)},
+			&RetInstr{anInstr: newAnInstr()})
+	})
+	wantVerifyError(t, m, "larger than 2147483647 words")
+	if n := strings.Count(Verify(m).Error(), at.String()+" is larger"); n != 1 {
+		t.Errorf("%s reported %d times, want once", at, n)
+	}
+}
+
+// TestVerifyFieldOffsetTooLarge: a field past 2^31-1 words has an
+// offset no operand word can carry.
+func TestVerifyFieldOffsetTooLarge(t *testing.T) {
+	m := rawModule(func(m *Module) {
+		st := &StructType{Name: "S", Fields: []Field{{"big", ArrayOf(Int, 1<<31-1)}, {"x", Int}}}
+		m.Structs = append(m.Structs, st)
+		mainWith(m,
+			&FieldAddrInstr{anInstr: newAnInstr(), Dst: &Reg{Name: "f", Typ: PtrTo(Int)},
+				Base: &Reg{Name: "p", Typ: PtrTo(st)}, Field: 1},
+			&RetInstr{anInstr: newAnInstr()})
+	})
+	wantVerifyError(t, m, "type S is larger than")
+}
+
+func TestVerifyStructContainsItself(t *testing.T) {
+	m := rawModule(func(m *Module) {
+		st := &StructType{Name: "S"}
+		st.Fields = []Field{{"x", Int}, {"self", st}}
+		m.Structs = append(m.Structs, st)
+		mainWith(m, &RetInstr{anInstr: newAnInstr()})
+	})
+	wantVerifyError(t, m, "struct S contains itself")
+}
+
+func TestVerifyForeignFuncRef(t *testing.T) {
+	other := &Func{Name: "elsewhere", Sig: &FuncType{Ret: Void}}
+	other.Blocks = []*Block{{Name: "entry", Parent: other,
+		Instrs: []Instr{&RetInstr{anInstr: newAnInstr()}}}}
+	m := rawModule(func(m *Module) {
+		mainWith(m,
+			&CallInstr{anInstr: newAnInstr(), Callee: &FuncRef{Func: other}},
+			&RetInstr{anInstr: newAnInstr()})
+	})
+	wantVerifyError(t, m, "function elsewhere of another module")
+}
+
+func TestVerifyForeignGlobalRef(t *testing.T) {
+	g := &Global{Name: "elsewhere", Typ: Int}
+	m := rawModule(func(m *Module) {
+		mainWith(m,
+			&StoreInstr{anInstr: newAnInstr(), Val: ConstInt(1), Addr: &GlobalRef{Global: g}},
+			&RetInstr{anInstr: newAnInstr()})
+	})
+	wantVerifyError(t, m, "global @elsewhere of another module")
+}
+
+func TestVerifyUnknownBinOp(t *testing.T) {
+	m := rawModule(func(m *Module) {
+		mainWith(m,
+			&BinInstr{anInstr: newAnInstr(), Dst: &Reg{Name: "x", Typ: Int}, BOp: Ge + 1,
+				X: ConstInt(1), Y: ConstInt(2)},
+			&RetInstr{anInstr: newAnInstr()})
+	})
+	wantVerifyError(t, m, "unknown binary operator 16")
+}

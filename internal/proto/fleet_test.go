@@ -2,6 +2,7 @@ package proto
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"snorlax/internal/core"
@@ -306,5 +307,26 @@ func TestFleetUnknownTenantAndCase(t *testing.T) {
 	// The connection survived every rejection.
 	if _, err := c.Status(); err != nil {
 		t.Fatalf("connection dead after protocol rejections: %v", err)
+	}
+}
+
+// TestRegisterRejectsUncompilableModule: a module whose array length
+// does not fit the bytecode engine's int32 operand words fails
+// ir.Verify, so registering its text gets an error reply and appends
+// no record to the store.
+func TestRegisterRejectsUncompilableModule(t *testing.T) {
+	fx := newFleetFixture(t, 0)
+	addr, _, w := startDurableServer(t, fx.mod, t.TempDir(), 0)
+	before := w.Stats().AppendedRecords
+	c := dialFleet(t, addr)
+	const text = "module uncompilable\n\nfunc main() {\nentry:\n" +
+		"  %a = alloca [8589934592]int\n  %p = indexaddr %a, 0\n  store 42, %p\n" +
+		"  %v = load %p\n  print %v\n  ret\n}\n"
+	var se *ServerError
+	if _, err := c.Register(text); !errors.As(err, &se) || !strings.Contains(err.Error(), "length outside") {
+		t.Fatalf("register = %v, want a ServerError rejecting the array length", err)
+	}
+	if n := w.Stats().AppendedRecords - before; n != 0 {
+		t.Errorf("rejected registration appended %d records, want 0", n)
 	}
 }

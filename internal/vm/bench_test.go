@@ -51,21 +51,21 @@ entry:
 
 func benchEngines(b *testing.B, mod *ir.Module) {
 	for _, eng := range []struct {
-		name string
-		e    vm.Engine
-	}{{"treewalk", vm.EngineTreeWalk}, {"bytecode", vm.EngineBytecode}} {
+		name  string
+		newVM newVM
+	}{{"treewalk", vm.NewTreeWalk}, {"bytecode", vm.New}} {
 		b.Run(eng.name, func(b *testing.B) {
-			cfg := vm.Config{Seed: 1, Engine: eng.e}
+			cfg := vm.Config{Seed: 1}
 			// Prime: compile cache warm, and capture the per-run step
 			// count for the instrs-per-second metric.
-			probe := vm.Run(mod, cfg)
+			probe := eng.newVM(mod, cfg).Run()
 			if probe.Failure != nil && probe.Failure.Kind == vm.FailStep {
 				b.Fatalf("workload hit the step limit: %v", probe.Failure)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				vm.Run(mod, cfg)
+				eng.newVM(mod, cfg).Run()
 			}
 			b.StopTimer()
 			if secs := b.Elapsed().Seconds(); secs > 0 {

@@ -59,12 +59,13 @@ type compiler struct {
 }
 
 // Compile translates a module to bytecode. The module is finalized if
-// it is not already. Compile never panics on structurally valid
-// (ir.Verify-clean) modules; for modules that would make any engine
-// misbehave — empty or unterminated blocks, aggregates too large for
-// 32-bit operands — it returns an error so callers can fall back to
-// the tree-walking interpreter.
-func Compile(mod *ir.Module) (*Program, error) {
+// it is not already. Compile is total over ir.Verify-clean modules,
+// which every ir.Parse and ir.Builder module is: Verify rejects each
+// module that 32-bit operand words could not encode, so Compile does
+// not check again. It panics on an instruction or value it does not
+// know, or a code array or pool past what int32 indices address; a
+// module text within the wire frame limit cannot reach either size.
+func Compile(mod *ir.Module) *Program {
 	if !mod.Finalized() {
 		mod.Finalize()
 	}
@@ -92,9 +93,6 @@ func Compile(mod *ir.Module) (*Program, error) {
 	// Pass 1: lay out code offsets so branches can refer forward.
 	off := int64(0)
 	for _, f := range mod.Funcs {
-		if len(f.Blocks) == 0 {
-			return nil, fmt.Errorf("bytecode: function %s has no blocks", f.Name)
-		}
 		info := FuncInfo{
 			Name:    f.Name,
 			Start:   int32(off),
@@ -106,36 +104,24 @@ func Compile(mod *ir.Module) (*Program, error) {
 		}
 		c.p.Funcs = append(c.p.Funcs, info)
 		for _, b := range f.Blocks {
-			if len(b.Instrs) == 0 {
-				return nil, fmt.Errorf("bytecode: empty block %s", b)
-			}
-			if b.Terminator() == nil {
-				return nil, fmt.Errorf("bytecode: block %s does not end in a terminator", b)
-			}
 			c.blockOff[b] = int32(off)
 			for _, in := range b.Instrs {
-				w, err := width(in)
-				if err != nil {
-					return nil, err
-				}
-				off += int64(w)
-				if off > math.MaxInt32 {
-					return nil, fmt.Errorf("bytecode: module %s exceeds 2^31 code words", mod.Name)
-				}
+				off += int64(width(in))
 			}
+		}
+		if off > math.MaxInt32 {
+			panic(fmt.Sprintf("bytecode: module %s exceeds 2^31 code words", mod.Name))
 		}
 	}
 	// Pass 2: emit.
 	for _, f := range mod.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if err := c.emit(in); err != nil {
-					return nil, err
-				}
+				c.emit(in)
 			}
 		}
 	}
-	return c.p, nil
+	return c.p
 }
 
 // wordsOf mirrors the VM's slot count for a type.
@@ -148,86 +134,63 @@ func wordsOf(t ir.Type) int64 {
 }
 
 // width returns the number of code words instruction in compiles to.
-func width(in ir.Instr) (int32, error) {
-	n := 0
+func width(in ir.Instr) int {
 	switch i := in.(type) {
-	case *ir.AllocaInstr, *ir.NewInstr:
-		n = 4
-	case *ir.LoadInstr, *ir.StoreInstr, *ir.CastInstr:
-		n = 4
-	case *ir.FieldAddrInstr:
-		n = 5
-	case *ir.IndexAddrInstr:
-		n = 7
-	case *ir.BinInstr:
-		n = 5
-	case *ir.BrInstr:
-		n = 4
-	case *ir.CondBrInstr:
-		n = 7
-	case *ir.CallInstr:
-		n = 5 + len(i.Args)
-	case *ir.SpawnInstr:
-		n = 5 + len(i.Args)
 	case *ir.RetInstr:
 		if i.Val == nil {
-			n = 2
-		} else {
-			n = 3
+			return 2
 		}
+		return 3
 	case *ir.JoinInstr, *ir.LockInstr, *ir.UnlockInstr, *ir.NotifyInstr, *ir.SleepInstr:
-		n = 3
-	case *ir.WaitInstr:
-		n = 4
-	case *ir.AssertInstr:
-		n = 4
+		return 3
+	case *ir.AllocaInstr, *ir.NewInstr, *ir.LoadInstr, *ir.StoreInstr, *ir.CastInstr,
+		*ir.BrInstr, *ir.WaitInstr, *ir.AssertInstr:
+		return 4
+	case *ir.FieldAddrInstr, *ir.BinInstr:
+		return 5
+	case *ir.IndexAddrInstr, *ir.CondBrInstr:
+		return 7
+	case *ir.CallInstr:
+		return 5 + len(i.Args)
+	case *ir.SpawnInstr:
+		return 5 + len(i.Args)
 	case *ir.PrintInstr:
-		n = 3 + len(i.Args)
-	default:
-		return 0, fmt.Errorf("bytecode: unsupported instruction %s", in)
+		return 3 + len(i.Args)
 	}
-	return int32(n), nil
+	panic(fmt.Sprintf("bytecode: unsupported instruction %s", in))
 }
 
 // pool interns v in the constant pool and returns its operand word
 // (the ^index encoding, always negative).
-func (c *compiler) pool(v int64) (int32, error) {
+func (c *compiler) pool(v int64) int32 {
 	if idx, ok := c.poolIdx[v]; ok {
-		return ^idx, nil
+		return ^idx
 	}
 	if len(c.p.Pool) > math.MaxInt32/2 {
-		return 0, fmt.Errorf("bytecode: constant pool overflow")
+		panic("bytecode: constant pool overflow")
 	}
 	idx := int32(len(c.p.Pool))
 	c.p.Pool = append(c.p.Pool, v)
 	c.poolIdx[v] = idx
-	return ^idx, nil
+	return ^idx
 }
 
 // operand encodes a value operand: register index when non-negative,
 // pool reference when negative.
-func (c *compiler) operand(v ir.Value) (int32, error) {
+func (c *compiler) operand(v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Reg:
-		return int32(x.Index), nil
+		return int32(x.Index)
 	case *ir.Const:
 		return c.pool(x.Val)
 	case *ir.GlobalRef:
-		addr, ok := c.gaddr[x.Global]
-		if !ok {
-			return 0, fmt.Errorf("bytecode: reference to global %s not in module", x.Global.Name)
-		}
-		return c.pool(addr)
+		return c.pool(c.gaddr[x.Global])
 	case *ir.FuncRef:
-		idx := c.mod.FuncIndex(x.Func)
-		if idx < 0 {
-			return 0, fmt.Errorf("bytecode: reference to function %s not in module", x.Func.Name)
-		}
 		// Function values use the VM's encoding: -index-1, disjoint
 		// from memory addresses.
-		return c.pool(-int64(idx) - 1)
+		return c.pool(-int64(c.mod.FuncIndex(x.Func)) - 1)
 	}
-	return 0, fmt.Errorf("bytecode: unknown value %T", v)
+	panic(fmt.Sprintf("bytecode: unknown value %T", v))
 }
 
 func (c *compiler) str(s string) int32 {
@@ -243,227 +206,88 @@ func (c *compiler) str(s string) int32 {
 // words appends raw code words.
 func (c *compiler) words(ws ...int32) { c.p.Code = append(c.p.Code, ws...) }
 
-// fit converts a compile-time count to an operand word, rejecting
-// values a 32-bit word cannot carry.
-func fit(what string, v int64) (int32, error) {
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("bytecode: %s %d exceeds 32-bit operand range", what, v)
-	}
-	return int32(v), nil
-}
-
-func (c *compiler) emit(in ir.Instr) error {
+func (c *compiler) emit(in ir.Instr) {
 	pc := in.PC()
-	if int(pc) < 0 || int(pc) >= len(c.p.IdxOfPC) {
-		return fmt.Errorf("bytecode: instruction %s has unfinalized PC", in)
-	}
 	c.p.IdxOfPC[pc] = int32(len(c.p.Code))
 	p := int32(pc)
 
-	vals := func(ops ...ir.Value) ([]int32, error) {
-		out := make([]int32, len(ops))
-		for j, o := range ops {
-			w, err := c.operand(o)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = w
-		}
-		return out, nil
-	}
-
 	switch i := in.(type) {
 	case *ir.AllocaInstr:
-		w, err := fit("alloca size", wordsOf(i.Elem))
-		if err != nil {
-			return err
-		}
-		c.words(int32(Alloca), p, int32(i.Dst.Index), w)
+		c.words(int32(Alloca), p, int32(i.Dst.Index), int32(wordsOf(i.Elem)))
 	case *ir.NewInstr:
-		w, err := fit("new size", wordsOf(i.Elem))
-		if err != nil {
-			return err
-		}
-		c.words(int32(New), p, int32(i.Dst.Index), w)
+		c.words(int32(New), p, int32(i.Dst.Index), int32(wordsOf(i.Elem)))
 	case *ir.LoadInstr:
-		ops, err := vals(i.Addr)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Load), p, int32(i.Dst.Index), ops[0])
+		c.words(int32(Load), p, int32(i.Dst.Index), c.operand(i.Addr))
 	case *ir.StoreInstr:
-		ops, err := vals(i.Val, i.Addr)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Store), p, ops[0], ops[1])
+		c.words(int32(Store), p, c.operand(i.Val), c.operand(i.Addr))
 	case *ir.FieldAddrInstr:
-		st := i.StructType()
-		if st == nil {
-			return fmt.Errorf("bytecode: fieldaddr through non-struct pointer at pc %d", pc)
-		}
-		if i.Field < 0 || i.Field >= len(st.Fields) {
-			return fmt.Errorf("bytecode: fieldaddr index %d out of range for %s", i.Field, st.Name)
-		}
-		off, err := fit("field offset", st.FieldOffset(i.Field))
-		if err != nil {
-			return err
-		}
-		ops, err := vals(i.Base)
-		if err != nil {
-			return err
-		}
-		c.words(int32(FieldAddr), p, int32(i.Dst.Index), ops[0], off)
+		off := int32(i.StructType().FieldOffset(i.Field))
+		c.words(int32(FieldAddr), p, int32(i.Dst.Index), c.operand(i.Base), off)
 	case *ir.IndexAddrInstr:
-		at, ok := ir.Deref(i.Base.Type()).(*ir.ArrayType)
-		if !ok {
-			return fmt.Errorf("bytecode: indexaddr through non-array pointer at pc %d", pc)
-		}
-		alen, err := fit("array length", at.Len)
-		if err != nil {
-			return err
-		}
-		ew, err := fit("element size", wordsOf(at.Elem))
-		if err != nil {
-			return err
-		}
-		ops, err := vals(i.Base, i.Index)
-		if err != nil {
-			return err
-		}
-		c.words(int32(IndexAddr), p, int32(i.Dst.Index), ops[0], ops[1], alen, ew)
+		at := ir.Deref(i.Base.Type()).(*ir.ArrayType)
+		c.words(int32(IndexAddr), p, int32(i.Dst.Index), c.operand(i.Base), c.operand(i.Index),
+			int32(at.Len), int32(wordsOf(at.Elem)))
 	case *ir.BinInstr:
-		op, ok := binOpcode[i.BOp]
-		if !ok {
-			return fmt.Errorf("bytecode: unknown binary op %d", i.BOp)
-		}
-		ops, err := vals(i.X, i.Y)
-		if err != nil {
-			return err
-		}
-		c.words(int32(op), p, int32(i.Dst.Index), ops[0], ops[1])
+		c.words(int32(binOpcode[i.BOp]), p, int32(i.Dst.Index), c.operand(i.X), c.operand(i.Y))
 	case *ir.CastInstr:
-		ops, err := vals(i.Val)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Cast), p, int32(i.Dst.Index), ops[0])
+		c.words(int32(Cast), p, int32(i.Dst.Index), c.operand(i.Val))
 	case *ir.BrInstr:
-		tgt, ok := c.blockOff[i.Target]
-		if !ok {
-			return fmt.Errorf("bytecode: branch to foreign block %s", i.Target)
-		}
-		c.words(int32(Jump), p, tgt, int32(i.Target.FirstPC()))
+		c.words(int32(Jump), p, c.blockOff[i.Target], int32(i.Target.FirstPC()))
 	case *ir.CondBrInstr:
-		then, ok1 := c.blockOff[i.Then]
-		els, ok2 := c.blockOff[i.Else]
-		if !ok1 || !ok2 {
-			return fmt.Errorf("bytecode: condbr to foreign block at pc %d", pc)
-		}
-		ops, err := vals(i.Cond)
-		if err != nil {
-			return err
-		}
-		c.words(int32(JumpIf), p, ops[0], then, int32(i.Then.FirstPC()), els, int32(i.Else.FirstPC()))
+		c.words(int32(JumpIf), p, c.operand(i.Cond), c.blockOff[i.Then], int32(i.Then.FirstPC()),
+			c.blockOff[i.Else], int32(i.Else.FirstPC()))
 	case *ir.CallInstr:
-		return c.emitCallLike(p, Call, CallInd, i.Dst, i.Callee, i.Args)
+		c.emitCallLike(p, Call, CallInd, i.Dst, i.Callee, i.Args)
 	case *ir.SpawnInstr:
-		return c.emitCallLike(p, Spawn, SpawnInd, i.Dst, i.Callee, i.Args)
+		c.emitCallLike(p, Spawn, SpawnInd, i.Dst, i.Callee, i.Args)
 	case *ir.RetInstr:
 		if i.Val == nil {
 			c.words(int32(Return), p)
-			return nil
+		} else {
+			c.words(int32(ReturnVal), p, c.operand(i.Val))
 		}
-		ops, err := vals(i.Val)
-		if err != nil {
-			return err
-		}
-		c.words(int32(ReturnVal), p, ops[0])
 	case *ir.JoinInstr:
-		ops, err := vals(i.Tid)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Join), p, ops[0])
+		c.words(int32(Join), p, c.operand(i.Tid))
 	case *ir.LockInstr:
-		ops, err := vals(i.Addr)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Lock), p, ops[0])
+		c.words(int32(Lock), p, c.operand(i.Addr))
 	case *ir.UnlockInstr:
-		ops, err := vals(i.Addr)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Unlock), p, ops[0])
+		c.words(int32(Unlock), p, c.operand(i.Addr))
 	case *ir.WaitInstr:
-		ops, err := vals(i.Mu, i.Cv)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Wait), p, ops[0], ops[1])
+		c.words(int32(Wait), p, c.operand(i.Mu), c.operand(i.Cv))
 	case *ir.NotifyInstr:
-		ops, err := vals(i.Cv)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Notify), p, ops[0])
+		c.words(int32(Notify), p, c.operand(i.Cv))
 	case *ir.SleepInstr:
-		ops, err := vals(i.Dur)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Sleep), p, ops[0])
+		c.words(int32(Sleep), p, c.operand(i.Dur))
 	case *ir.AssertInstr:
-		ops, err := vals(i.Cond)
-		if err != nil {
-			return err
-		}
-		c.words(int32(Assert), p, ops[0], c.str(i.Msg))
+		c.words(int32(Assert), p, c.operand(i.Cond), c.str(i.Msg))
 	case *ir.PrintInstr:
-		ops, err := vals(i.Args...)
-		if err != nil {
-			return err
+		c.words(int32(Print), p, int32(len(i.Args)))
+		for _, a := range i.Args {
+			c.words(c.operand(a))
 		}
-		c.words(int32(Print), p, int32(len(ops)))
-		c.words(ops...)
 	default:
-		return fmt.Errorf("bytecode: unsupported instruction %s", in)
+		panic(fmt.Sprintf("bytecode: unsupported instruction %s", in))
 	}
-	return nil
 }
 
 // emitCallLike compiles call and spawn, which share the
 // direct/indirect split and the inline argument list.
-func (c *compiler) emitCallLike(p int32, direct, indirect Opcode, dst *ir.Reg, callee ir.Value, args []ir.Value) error {
+func (c *compiler) emitCallLike(p int32, direct, indirect Opcode, dst *ir.Reg, callee ir.Value, args []ir.Value) {
 	d := int32(-1)
 	if dst != nil {
 		d = int32(dst.Index)
 	}
+	// Arguments enter the pool before an indirect callee does.
 	argWords := make([]int32, len(args))
 	for j, a := range args {
-		w, err := c.operand(a)
-		if err != nil {
-			return err
-		}
-		argWords[j] = w
+		argWords[j] = c.operand(a)
 	}
 	if fr, ok := callee.(*ir.FuncRef); ok {
-		idx := c.mod.FuncIndex(fr.Func)
-		if idx < 0 {
-			return fmt.Errorf("bytecode: call of function %s not in module", fr.Func.Name)
-		}
-		c.words(int32(direct), p, d, int32(idx), int32(len(args)))
+		c.words(int32(direct), p, d, int32(c.mod.FuncIndex(fr.Func)), int32(len(args)))
 	} else {
-		cv, err := c.operand(callee)
-		if err != nil {
-			return err
-		}
-		c.words(int32(indirect), p, d, cv, int32(len(args)))
+		c.words(int32(indirect), p, d, c.operand(callee), int32(len(args)))
 	}
 	c.words(argWords...)
-	return nil
 }
 
 // binOpcode maps IR binary operators to their specialized opcodes.

@@ -33,10 +33,7 @@ entry:
 // TestCompilePoolInterning pins the constant pool's dedup: the value
 // 7 appears three times in the source but must occupy one slot.
 func TestCompilePoolInterning(t *testing.T) {
-	prog, err := bytecode.Compile(mustParse(t, poolSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bytecode.Compile(mustParse(t, poolSrc))
 	seen := map[int64]int{}
 	for _, v := range prog.Pool {
 		seen[v]++
@@ -62,10 +59,7 @@ entry:
   ret
 }
 `)
-	prog, err := bytecode.Compile(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bytecode.Compile(mod)
 	// a at 1 (1 word), b at 2 (4 words), c at 6.
 	want := []int64{1, 2, 6}
 	if !reflect.DeepEqual(prog.GlobalAddrs, want) {
@@ -77,14 +71,8 @@ entry:
 // identical words, pools and function tables.
 func TestCompileDeterministic(t *testing.T) {
 	mod := mustParse(t, poolSrc)
-	p1, err := bytecode.Compile(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := bytecode.Compile(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1 := bytecode.Compile(mod)
+	p2 := bytecode.Compile(mod)
 	if !reflect.DeepEqual(p1.Code, p2.Code) || !reflect.DeepEqual(p1.Pool, p2.Pool) ||
 		!reflect.DeepEqual(p1.Funcs, p2.Funcs) {
 		t.Error("recompilation is not deterministic")
@@ -95,10 +83,7 @@ func TestCompileDeterministic(t *testing.T) {
 // round-trips through IdxOfPC, so the engine can map code offsets
 // back to ir.PCs (and vice versa) without search.
 func TestCompilePCMapping(t *testing.T) {
-	prog, err := bytecode.Compile(mustParse(t, poolSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bytecode.Compile(mustParse(t, poolSrc))
 	for off := int32(0); off < int32(len(prog.Code)); {
 		pc := prog.Code[off+1]
 		if got := prog.IdxOfPC[pc]; got != off {
@@ -112,10 +97,7 @@ func TestCompilePCMapping(t *testing.T) {
 // compiled against, which is what the vm-side cache keys on.
 func TestCompileVersioned(t *testing.T) {
 	mod := mustParse(t, poolSrc)
-	prog, err := bytecode.Compile(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bytecode.Compile(mod)
 	if prog.Version != mod.Version() {
 		t.Errorf("prog.Version = %d, module version = %d", prog.Version, mod.Version())
 	}

@@ -41,11 +41,7 @@ func TestDisasmGolden(t *testing.T) {
 			if bug == nil {
 				t.Fatalf("corpus bug %q not found", id)
 			}
-			prog, err := bytecode.Compile(bug.Build(corpus.Variant{}).Mod)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			got := prog.Disasm()
+			got := bytecode.Compile(bug.Build(corpus.Variant{}).Mod).Disasm()
 			path := filepath.Join("testdata", id+".disasm")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -72,10 +68,7 @@ func TestDisasmGolden(t *testing.T) {
 // array exactly — no gaps, no overruns, no unknown opcodes.
 func TestDisasmCoversAllCode(t *testing.T) {
 	for _, bug := range append(corpus.All(), corpus.Extensions()...) {
-		prog, err := bytecode.Compile(bug.Build(corpus.Variant{}).Mod)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", bug.ID, err)
-		}
+		prog := bytecode.Compile(bug.Build(corpus.Variant{}).Mod)
 		seen := 0
 		for off := int32(0); off < int32(len(prog.Code)); {
 			line, next := prog.DisasmAt(off)

@@ -9,8 +9,8 @@ import (
 
 // TestConfigWithDefaults pins every documented default in one table,
 // so the Config doc comments, withDefaults and this test must agree.
-// Both engines read the exact same resolved Config, which is what
-// makes every knob engine-independent.
+// The tree-walking oracle reads the same resolved Config as the
+// bytecode engine, which is what makes every knob engine-independent.
 func TestConfigWithDefaults(t *testing.T) {
 	tests := []struct {
 		name string
@@ -21,21 +21,6 @@ func TestConfigWithDefaults(t *testing.T) {
 			name: "zero value resolves to documented defaults",
 			in:   Config{},
 			want: Config{
-				Engine:        EngineBytecode,
-				MaxSteps:      20_000_000,
-				InstrCost:     10,
-				QuantumMin:    20_000,
-				QuantumMax:    100_000,
-				CtxSwitchCost: 1000,
-				MaxThreads:    4096,
-				GateBackoffNS: 500,
-			},
-		},
-		{
-			name: "explicit engines survive",
-			in:   Config{Engine: EngineTreeWalk},
-			want: Config{
-				Engine:        EngineTreeWalk,
 				MaxSteps:      20_000_000,
 				InstrCost:     10,
 				QuantumMin:    20_000,
@@ -49,7 +34,6 @@ func TestConfigWithDefaults(t *testing.T) {
 			name: "quantum max clamps up to min",
 			in:   Config{QuantumMin: 50_000, QuantumMax: 30_000},
 			want: Config{
-				Engine:        EngineBytecode,
 				MaxSteps:      20_000_000,
 				InstrCost:     10,
 				QuantumMin:    50_000,
@@ -62,11 +46,9 @@ func TestConfigWithDefaults(t *testing.T) {
 		{
 			name: "set fields pass through",
 			in: Config{Seed: 9, MaxSteps: 5, InstrCost: 2, QuantumMin: 3,
-				QuantumMax: 4, CtxSwitchCost: 6, MaxThreads: 7, GateBackoffNS: 8,
-				Engine: EngineBytecode},
+				QuantumMax: 4, CtxSwitchCost: 6, MaxThreads: 7, GateBackoffNS: 8},
 			want: Config{Seed: 9, MaxSteps: 5, InstrCost: 2, QuantumMin: 3,
-				QuantumMax: 4, CtxSwitchCost: 6, MaxThreads: 7, GateBackoffNS: 8,
-				Engine: EngineBytecode},
+				QuantumMax: 4, CtxSwitchCost: 6, MaxThreads: 7, GateBackoffNS: 8},
 		},
 	}
 	for _, tt := range tests {
@@ -102,51 +84,12 @@ entry:
 // share one program, and re-finalizing invalidates the cache.
 func TestCompiledProgramCache(t *testing.T) {
 	mod := parseMod(t, cacheSrc)
-	p1, err := compiledProgram(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := compiledProgram(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
+	p1 := compiledProgram(mod)
+	if p2 := compiledProgram(mod); p1 != p2 {
 		t.Error("second compiledProgram call missed the cache")
 	}
 	mod.Finalize() // version bump
-	p3, err := compiledProgram(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
+	if p3 := compiledProgram(mod); p3 == p1 {
 		t.Error("cache survived a re-finalize; stale code could run")
-	}
-}
-
-// TestEngineFallback: a module the compiler rejects (here: an array
-// whose length overflows the int32 operand word) must still run,
-// silently, on the tree-walker — the compile error never surfaces to
-// the caller.
-func TestEngineFallback(t *testing.T) {
-	b := ir.NewBuilder("uncompilable")
-	f := b.Func("main", ir.Void)
-	e := f.Block("entry")
-	arr := e.Alloca(ir.ArrayOf(ir.Int, int64(1)<<33))
-	p := e.IndexAddr(arr, ir.ConstInt(0))
-	e.Store(ir.ConstInt(42), p)
-	e.Print(e.Load(p))
-	e.RetVoid()
-	mod := b.MustBuild()
-
-	v := New(mod, Config{Seed: 1}) // zero Engine requests bytecode
-	if v.Engine() != EngineTreeWalk {
-		t.Fatalf("engine = %v, want fallback to %v", v.Engine(), EngineTreeWalk)
-	}
-	res := v.Run()
-	if res.Failed() {
-		t.Fatalf("fallback run failed: %v", res.Failure)
-	}
-	if len(res.Output) != 1 || res.Output[0] != "42" {
-		t.Fatalf("output = %v, want [42]", res.Output)
 	}
 }

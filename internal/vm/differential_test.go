@@ -97,12 +97,16 @@ func (g *orderGate) Allow(tid int, in ir.Instr, time int64) bool {
 	return true
 }
 
+// newVM constructs a VM for one leg of a comparison: vm.New runs the
+// bytecode engine, vm.NewTreeWalk its tree-walking oracle.
+type newVM func(*ir.Module, vm.Config) *vm.VM
+
 // runLeg executes mod once on the given engine with full observation
 // and returns the Result plus the interaction hash/count.
-func runLeg(tb testing.TB, mod *ir.Module, watch []ir.PC, seed int64, eng vm.Engine, gated bool) (*vm.Result, uint64, int64) {
+func runLeg(tb testing.TB, mod *ir.Module, watch []ir.PC, seed int64, engine newVM, gated bool) (*vm.Result, uint64, int64) {
 	tb.Helper()
 	ch := newChronicle()
-	cfg := vm.Config{Seed: seed, Engine: eng, Sink: ch, Hook: ch, Access: ch}
+	cfg := vm.Config{Seed: seed, Sink: ch, Hook: ch, Access: ch}
 	if len(watch) > 0 {
 		cfg.WatchPCs = map[ir.PC]bool{}
 		for _, pc := range watch {
@@ -116,24 +120,20 @@ func runLeg(tb testing.TB, mod *ir.Module, watch []ir.PC, seed int64, eng vm.Eng
 		}
 		cfg.Gate = &orderGate{veto: veto, ch: ch}
 	}
-	v := vm.New(mod, cfg)
-	if eng == vm.EngineBytecode && v.Engine() != vm.EngineBytecode {
-		tb.Fatalf("bytecode engine unavailable: compile fell back to %v", v.Engine())
-	}
-	return v.Run(), ch.sum, ch.n
+	return engine(mod, cfg).Run(), ch.sum, ch.n
 }
 
 // runBare executes without any hooks attached, covering the engines'
 // sink-free fast paths (branch counting without event construction).
-func runBare(mod *ir.Module, watch []ir.PC, seed int64, eng vm.Engine) *vm.Result {
-	cfg := vm.Config{Seed: seed, Engine: eng}
+func runBare(mod *ir.Module, watch []ir.PC, seed int64, engine newVM) *vm.Result {
+	cfg := vm.Config{Seed: seed}
 	if len(watch) > 0 {
 		cfg.WatchPCs = map[ir.PC]bool{}
 		for _, pc := range watch {
 			cfg.WatchPCs[pc] = true
 		}
 	}
-	return vm.Run(mod, cfg)
+	return engine(mod, cfg).Run()
 }
 
 // diffSeeds returns the scheduler seeds to sweep; CI pins one seed
@@ -186,12 +186,12 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 				for _, seed := range seeds {
 					label := variant + "/seed=" + strconv.FormatInt(seed, 10)
 
-					resT, hashT, nT := runLeg(t, inst.Mod, inst.WatchPCs, seed, vm.EngineTreeWalk, true)
-					resB, hashB, nB := runLeg(t, inst.Mod, inst.WatchPCs, seed, vm.EngineBytecode, true)
+					resT, hashT, nT := runLeg(t, inst.Mod, inst.WatchPCs, seed, vm.NewTreeWalk, true)
+					resB, hashB, nB := runLeg(t, inst.Mod, inst.WatchPCs, seed, vm.New, true)
 					assertSameRun(t, label+"/hooked", resT, resB, hashT, hashB, nT, nB)
 
-					bareT := runBare(inst.Mod, inst.WatchPCs, seed, vm.EngineTreeWalk)
-					bareB := runBare(inst.Mod, inst.WatchPCs, seed, vm.EngineBytecode)
+					bareT := runBare(inst.Mod, inst.WatchPCs, seed, vm.NewTreeWalk)
+					bareB := runBare(inst.Mod, inst.WatchPCs, seed, vm.New)
 					if !reflect.DeepEqual(bareT, bareB) {
 						t.Errorf("%s/bare: results diverge\n treewalk: %+v\n bytecode: %+v",
 							label, bareT, bareB)
@@ -199,20 +199,6 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEngineReportsBytecode pins the default-engine resolution: a
-// zero-value Config must run corpus programs on the bytecode engine.
-func TestEngineReportsBytecode(t *testing.T) {
-	inst := corpus.All()[0].Build(corpus.Variant{})
-	v := vm.New(inst.Mod, vm.Config{})
-	if v.Engine() != vm.EngineBytecode {
-		t.Fatalf("default engine = %v, want %v", v.Engine(), vm.EngineBytecode)
-	}
-	v = vm.New(inst.Mod, vm.Config{Engine: vm.EngineTreeWalk})
-	if v.Engine() != vm.EngineTreeWalk {
-		t.Fatalf("explicit treewalk engine = %v, want %v", v.Engine(), vm.EngineTreeWalk)
 	}
 }
 
@@ -243,14 +229,14 @@ entry:
 		}
 		// Cap the budget so adversarial programs terminate quickly;
 		// both engines get the identical config.
-		run := func(eng vm.Engine) (*vm.Result, uint64, int64) {
+		run := func(engine newVM) (*vm.Result, uint64, int64) {
 			ch := newChronicle()
-			cfg := vm.Config{Seed: seed, Engine: eng, MaxSteps: 50_000,
+			cfg := vm.Config{Seed: seed, MaxSteps: 50_000,
 				Sink: ch, Hook: ch, Access: ch}
-			return vm.Run(mod, cfg), ch.sum, ch.n
+			return engine(mod, cfg).Run(), ch.sum, ch.n
 		}
-		resT, hashT, nT := run(vm.EngineTreeWalk)
-		resB, hashB, nB := run(vm.EngineBytecode)
+		resT, hashT, nT := run(vm.NewTreeWalk)
+		resB, hashB, nB := run(vm.New)
 		if !reflect.DeepEqual(resT, resB) {
 			t.Errorf("results diverge\n treewalk: %+v\n bytecode: %+v", resT, resB)
 		}

@@ -7,6 +7,12 @@ import (
 	"snorlax/internal/ir"
 )
 
+// This file is the tree-walking interpreter. Production VMs run the
+// bytecode engine (bcexec.go); the tree-walker runs only when a test
+// builds its VM with NewTreeWalk (export_test.go), as the bytecode
+// engine's differential oracle and the perf lane's normalisation
+// reference.
+
 // step executes exactly one instruction of thread t.
 func (v *VM) step(t *thread) {
 	fr := t.top()

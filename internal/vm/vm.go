@@ -8,36 +8,6 @@ import (
 	"snorlax/internal/vm/bytecode"
 )
 
-// Engine selects the execution engine.
-type Engine int
-
-// The available engines. Both engines honor every Config knob and
-// produce bit-identical results — the differential suite and fuzz
-// target in this package enforce that across the whole corpus.
-const (
-	// EngineDefault resolves to EngineBytecode (the production
-	// engine) unless the module cannot be compiled, in which case the
-	// VM falls back to the tree-walking interpreter.
-	EngineDefault Engine = iota
-	// EngineBytecode compiles the module to flat 32-bit word code
-	// (internal/vm/bytecode) and runs a tight dispatch loop.
-	EngineBytecode
-	// EngineTreeWalk interprets ir structures directly. It is kept as
-	// the differential-testing oracle; traces are bit-identical to
-	// the bytecode engine.
-	EngineTreeWalk
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineBytecode:
-		return "bytecode"
-	case EngineTreeWalk:
-		return "treewalk"
-	}
-	return "default"
-}
-
 // Config controls one execution.
 type Config struct {
 	// Seed drives every scheduling decision; the same seed, module
@@ -74,19 +44,9 @@ type Config struct {
 	// GateBackoffNS is how long a vetoed thread sleeps before
 	// retrying (default 500).
 	GateBackoffNS int64
-	// Engine selects the execution engine (default: bytecode, with
-	// automatic fallback to the tree-walker when compilation fails).
-	// Every other Config field is engine-independent: both engines
-	// honor Seed, MaxSteps, InstrCost, QuantumMin/Max, CtxSwitchCost,
-	// MaxThreads, WatchPCs, Sink, Hook, Gate, Access and
-	// GateBackoffNS identically.
-	Engine Engine
 }
 
 func (c Config) withDefaults() Config {
-	if c.Engine == EngineDefault {
-		c.Engine = EngineBytecode
-	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 20_000_000
 	}
@@ -199,8 +159,9 @@ type VM struct {
 	watch     []WatchEvent
 	failure   *Failure
 
-	// prog is the compiled program when the bytecode engine is
-	// active; nil selects the tree-walking interpreter.
+	// prog is the compiled program the bytecode engine runs. Only
+	// tests clear it, to run the tree-walking interpreter as the
+	// bytecode engine's differential oracle (export_test.go).
 	prog *bytecode.Program
 	// nLive and nSleeping maintain the live and sleeping thread
 	// counts incrementally so the hot loop never scans all threads.
@@ -214,8 +175,8 @@ type VM struct {
 	runnableBuf []int
 }
 
-// New prepares a VM for one execution of mod. The module must be
-// finalized and have a main function.
+// New prepares a VM for one execution of mod on the bytecode engine.
+// The module must pass ir.Verify and have a main function.
 func New(mod *ir.Module, cfg Config) *VM {
 	if !mod.Finalized() {
 		mod.Finalize()
@@ -230,6 +191,7 @@ func New(mod *ir.Module, cfg Config) *VM {
 		lockWaiters: make(map[int64][]int),
 		condWaiters: make(map[int64][]int),
 		lockOwner:   make(map[int64]int),
+		prog:        compiledProgram(mod),
 	}
 	for _, g := range mod.Globals {
 		addr := v.mem.alloc(wordsOf(g.Typ))
@@ -238,12 +200,8 @@ func New(mod *ir.Module, cfg Config) *VM {
 			v.mem.store(addr, g.Init.Val)
 		}
 	}
-	if cfg.Engine == EngineBytecode {
-		if prog, err := compiledProgram(mod); err == nil && v.globalsMatch(prog) {
-			v.prog = prog
-		}
-	}
-	if len(cfg.WatchPCs) > 0 && v.prog != nil {
+	v.checkGlobals()
+	if len(cfg.WatchPCs) > 0 {
 		v.watchDense = make([]bool, mod.NumInstrs())
 		for pc, on := range cfg.WatchPCs {
 			if on && int(pc) >= 0 && int(pc) < len(v.watchDense) {
@@ -259,48 +217,31 @@ func New(mod *ir.Module, cfg Config) *VM {
 	return v
 }
 
-// Engine reports the engine this VM actually uses, after default
-// resolution and compile fallback.
-func (v *VM) Engine() Engine {
-	if v.prog != nil {
-		return EngineBytecode
-	}
-	return EngineTreeWalk
-}
-
-// globalsMatch asserts that the compiler's precomputed global
+// checkGlobals asserts that the compiler's precomputed global
 // addresses agree with the VM's allocator — the invariant that lets
 // compiled code resolve @global operands to pool constants. The two
-// derivations share one formula, so a mismatch is a bug; refusing the
-// program falls back to the tree-walker rather than corrupting memory.
-func (v *VM) globalsMatch(prog *bytecode.Program) bool {
-	if len(prog.GlobalAddrs) != len(v.mod.Globals) {
-		return false
-	}
+// derivations share one formula, so a mismatch is a bug.
+func (v *VM) checkGlobals() {
+	ok := len(v.prog.GlobalAddrs) == len(v.mod.Globals)
 	for i, g := range v.mod.Globals {
-		if v.globalAddr[g] != prog.GlobalAddrs[i] {
-			return false
-		}
+		ok = ok && v.globalAddr[g] == v.prog.GlobalAddrs[i]
 	}
-	return true
+	if !ok {
+		panic("vm: compiled global addresses disagree with the VM's allocation")
+	}
 }
 
 // compiledProgram returns the module's compiled bytecode, building
 // and caching it on the module on first use. The cache is keyed by
-// module version, so re-finalizing invalidates it; a compile error is
-// cached too, keeping the fallback decision O(1) on every Run.
-func compiledProgram(mod *ir.Module) (*bytecode.Program, error) {
-	type entry struct {
-		prog *bytecode.Program
-		err  error
-	}
+// module version, so re-finalizing invalidates it.
+func compiledProgram(mod *ir.Module) *bytecode.Program {
 	ver := mod.Version()
-	if e, ok := mod.Compiled(ver).(*entry); ok {
-		return e.prog, e.err
+	if prog, ok := mod.Compiled(ver).(*bytecode.Program); ok {
+		return prog
 	}
-	prog, err := bytecode.Compile(mod)
-	mod.SetCompiled(ver, &entry{prog: prog, err: err})
-	return prog, err
+	prog := bytecode.Compile(mod)
+	mod.SetCompiled(ver, prog)
+	return prog
 }
 
 // Run executes mod to completion under cfg and returns the result.

@@ -9,15 +9,15 @@
 //	snorlax -bug pbzip2-1
 //	snorlax -all
 //
-// Fleet mode (multi-tenant server, on-demand collection):
+// Analysis server (multi-tenant, on-demand collection) and clients:
 //
-//	snorlax -serve :7007 -fleet
+//	snorlax -serve :7007 -bug pbzip2-1
 //	snorlax -remote :7007 -bug pbzip2-1 -agent 4
 //
 // Sharded fleet tier (router + durable shards):
 //
-//	snorlax -serve :7101 -fleet -state-dir /var/lib/snorlax/s0 -case-base 0
-//	snorlax -serve :7102 -fleet -state-dir /var/lib/snorlax/s1 -case-base 4294967296
+//	snorlax -serve :7101 -state-dir /var/lib/snorlax/s0 -case-base 0
+//	snorlax -serve :7102 -state-dir /var/lib/snorlax/s1 -case-base 4294967296
 //	snorlax -route :7100 -shards "s0=127.0.0.1:7101,s1=127.0.0.1:7102"
 package main
 
@@ -43,21 +43,19 @@ import (
 )
 
 var (
-	bugID     = flag.String("bug", "", "corpus bug id to diagnose (see -list)")
-	listAll   = flag.Bool("list", false, "list the corpus bugs")
-	all       = flag.Bool("all", false, "diagnose every corpus bug")
-	serve     = flag.String("serve", "", "run an analysis server for -bug on this address (e.g. :7007)")
-	remote    = flag.String("remote", "", "diagnose -bug against a remote analysis server at this address")
-	fleetMode = flag.Bool("fleet", false, "-serve: multi-tenant fleet mode; every corpus bug (or just -bug) is pre-registered and clients may register more")
-	agents    = flag.Int("agent", 0, "run this many simulated fleet agents for -bug against the -remote fleet server")
-	quota     = flag.Int("quota", 0, "-serve -fleet: per-case success-trace quota (0 = the paper's 10x)")
-	workers   = flag.Int("workers", 0, "success-trace pool size for -serve (0 = GOMAXPROCS)")
-	maxDiag   = flag.Int("max-diagnoses", 0, "concurrent diagnosis bound for -serve (0 = GOMAXPROCS)")
+	bugID   = flag.String("bug", "", "corpus bug id to diagnose (see -list)")
+	listAll = flag.Bool("list", false, "list the corpus bugs")
+	all     = flag.Bool("all", false, "diagnose every corpus bug")
+	serve   = flag.String("serve", "", "run an analysis server on this address (e.g. :7007); it pre-registers -bug, or every corpus bug, and clients may register more")
+	remote  = flag.String("remote", "", "diagnose -bug against a remote analysis server at this address")
+	agents  = flag.Int("agent", 1, "-remote: how many simulated agents run -bug")
+	quota   = flag.Int("quota", 0, "-serve: per-case success-trace quota (0 = the paper's 10x)")
+	workers = flag.Int("workers", 0, "success-trace pool size for -serve (0 = GOMAXPROCS)")
+	maxDiag = flag.Int("max-diagnoses", 0, "concurrent diagnosis bound for -serve (0 = GOMAXPROCS)")
 
 	idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "-serve: drop connections idle this long (0 = never)")
 	writeTimeout = flag.Duration("write-timeout", 30*time.Second, "-serve: per-reply write deadline (0 = none)")
 	maxSnapshot  = flag.Int64("max-snapshot-bytes", 0, "-serve: per-upload snapshot byte cap (0 = 64MB default, <0 = unlimited)")
-	maxSucc      = flag.Int("max-successes", 0, "-serve: success traces accepted per connection (0 = 1024 default, <0 = unlimited)")
 	drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "-serve: how long SIGINT/SIGTERM shutdown waits for in-flight work")
 	retries      = flag.Int("retries", 8, "-remote: attempts per operation before giving up")
 	metricsAddr  = flag.String("metrics-addr", "", "-serve: also serve GET /metrics (Prometheus text format) and /debug/pprof/* on this address (e.g. 127.0.0.1:9090); empty = disabled")
@@ -72,12 +70,8 @@ func main() {
 		runRouter(*route)
 	case *serve != "":
 		runServer(*serve)
-	case *remote != "" && *agents > 0:
-		if !fleetAgents(*remote, lookup(*bugID), *agents) {
-			os.Exit(1)
-		}
 	case *remote != "":
-		if !remoteDiagnose(*remote, lookup(*bugID)) {
+		if !fleetAgents(*remote, lookup(*bugID), *agents) {
 			os.Exit(1)
 		}
 	case *listAll:
@@ -122,40 +116,31 @@ func lookup(id string) *corpus.Bug {
 }
 
 // runServer hosts the analysis side of Figure 2; clients connect with
-// -remote. In -fleet mode the server is multi-tenant: corpus programs
-// are pre-registered and client agents (-agent) drive the on-demand
+// -remote. The server is multi-tenant: -bug, or else every corpus
+// program, is pre-registered, and client agents drive the on-demand
 // collection loop. SIGINT/SIGTERM drain gracefully: in-flight
 // diagnoses finish (up to -drain-timeout) before exit.
 func runServer(addr string) {
-	var mod *ir.Module
-	switch {
-	case *bugID != "":
-		mod = lookup(*bugID).Build(corpus.Variant{Failing: true}).Mod
-	case *fleetMode:
-		// Fleet-only server: the base module is a placeholder; every
-		// diagnosed program arrives by (pre-)registration.
-		var err error
-		mod, err = ir.Parse("module fleet\n\nfunc main() {\nentry:\n  ret\n}\n")
-		if err != nil {
-			panic(err)
+	var mods []*ir.Module
+	if *bugID != "" {
+		mods = append(mods, lookup(*bugID).Build(corpus.Variant{Failing: true}).Mod)
+	} else {
+		for _, b := range corpus.All() {
+			mods = append(mods, b.Build(corpus.Variant{Failing: true}).Mod)
 		}
-	default:
-		fmt.Fprintln(os.Stderr, "-serve needs -bug (or -fleet); try -list")
-		os.Exit(2)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cs := core.NewServer(mod)
+	cs := core.NewServer(nil)
 	cs.Workers = *workers
 	ps := proto.NewServer(cs)
 	ps.MaxConcurrent = *maxDiag
 	ps.IdleTimeout = *idleTimeout
 	ps.WriteTimeout = *writeTimeout
 	ps.MaxSnapshotBytes = *maxSnapshot
-	ps.MaxSuccessesPerConn = *maxSucc
 	ps.FleetQuota = *quota
 	ps.CaseBase = *caseBase
 	if *stateDir != "" {
@@ -178,28 +163,13 @@ func runServer(addr string) {
 		fmt.Printf("durable state in %s (sync=%s, recovered through lsn %d, %d torn-tail truncations)\n",
 			*stateDir, pol, st.LastLSN, st.TruncatedRecoveries)
 	}
-	register := func(m *ir.Module) {
+	for _, m := range mods {
 		if _, err := ps.RegisterProgram(m); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if *fleetMode {
-		registered := 0
-		if *bugID != "" {
-			register(mod)
-			registered = 1
-		} else {
-			for _, b := range corpus.All() {
-				register(b.Build(corpus.Variant{Failing: true}).Mod)
-				registered++
-			}
-		}
-		fmt.Printf("fleet analysis server listening on %s (%d programs pre-registered)\n",
-			ln.Addr(), registered)
-	} else {
-		fmt.Printf("analysis server for %s listening on %s\n", *bugID, ln.Addr())
-	}
+	fmt.Printf("analysis server listening on %s (%d programs pre-registered)\n", ln.Addr(), len(mods))
 
 	var msrv *http.Server
 	if *metricsAddr != "" {
@@ -256,86 +226,21 @@ func drain(ps *proto.Server, timeout time.Duration) int {
 	return 0
 }
 
-// remoteDiagnose plays the production-client side: reproduce the
-// failure locally, ship the trace to the server, stream successful
-// traces, and print the server's verdict. The client retries through
-// transport faults, reconnecting and replaying the session.
-func remoteDiagnose(addr string, b *corpus.Bug) bool {
-	failInst := b.Build(corpus.Variant{Failing: true})
-	okInst := b.Build(corpus.Variant{Failing: false})
-
-	conn := proto.DialRetrying("tcp", addr, proto.RetryConfig{MaxAttempts: *retries})
-	defer conn.Close()
-
-	failClient := core.NewClient(failInst.Mod)
-	var rep *core.RunReport
-	for seed := int64(1); seed <= 20; seed++ {
-		if r := failClient.Run(seed, ir.NoPC); r.Failed() {
-			rep = r
-			break
-		}
-	}
-	if rep == nil {
-		fmt.Fprintln(os.Stderr, "could not reproduce the failure")
-		return false
-	}
-	trigger, err := conn.ReportFailure(rep.Failure, rep.Snapshot)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return false
-	}
-	fmt.Printf("uploaded failure %q; server armed trigger at pc=%d\n", rep.Failure.Msg, trigger)
-
-	okClient := core.NewClient(okInst.Mod)
-	sent := 0
-	for seed := int64(1); sent < 10 && seed < 60; seed++ {
-		okRep := okClient.Run(seed+500, trigger)
-		if okRep.Failed() || !okRep.Triggered {
-			continue
-		}
-		if err := conn.SendSuccess(okRep.Snapshot); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return false
-		}
-		sent++
-	}
-	fmt.Printf("uploaded %d successful traces\n", sent)
-
-	d, err := conn.RequestDiagnosis()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return false
-	}
-	if n := conn.Retries(); n > 0 {
-		fmt.Printf("recovered from %d transport faults\n", n)
-	}
-	if d.Stats.DroppedSuccesses > 0 {
-		fmt.Printf("server dropped %d corrupt success traces\n", d.Stats.DroppedSuccesses)
-	}
-	fmt.Print(indent(core.Format(failInst.Mod, d)))
-	truth := core.Truth{Kind: failInst.TruthKind, Sub: failInst.TruthSub,
-		PCs: failInst.TruthPCs, Absence: failInst.TruthAbsence}
-	ok := core.MatchesTruth(d.Best.Pattern, truth)
-	if ok {
-		fmt.Println("    ground truth: MATCHES developer fix")
-	} else {
-		fmt.Println("    ground truth: DOES NOT MATCH")
-	}
-	return ok
-}
-
-// fleetAgents runs n simulated production clients for one corpus bug
-// against a fleet-mode server: register, reproduce and report the
+// fleetAgents plays the production-client side with n simulated
+// agents for one corpus bug: register, reproduce and report the
 // failure, collect triggered success traces on the server's directive,
-// and print the published report once the quota is met.
+// and print the published report once the quota is met. Agents retry
+// through transport faults, reconnecting and repeating the idempotent
+// request.
 func fleetAgents(addr string, b *corpus.Bug, n int) bool {
 	failInst := b.Build(corpus.Variant{Failing: true})
 	okInst := b.Build(corpus.Variant{Failing: false})
 	res, err := fleet.Run(
 		fleet.Program{Fail: failInst.Mod, OK: okInst.Mod},
 		fleet.Config{
-			Dial:    func() (net.Conn, error) { return net.Dial("tcp", addr) },
-			Clients: n,
+			Dial:        func() (net.Conn, error) { return net.Dial("tcp", addr) },
+			Clients:     n,
+			MaxAttempts: *retries,
 		})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

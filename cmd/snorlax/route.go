@@ -1,8 +1,8 @@
 package main
 
 // The sharded fleet tier's operational entry points: -route runs the
-// stateless shard router in front of -serve -fleet shards (each with
-// its own -state-dir and -case-base).
+// stateless shard router in front of -serve shards (each with its own
+// -state-dir and -case-base).
 
 import (
 	"context"
@@ -25,13 +25,12 @@ import (
 var (
 	route      = flag.String("route", "", "run a stateless shard router on this address (requires -shards)")
 	shardsFlag = flag.String("shards", "", "-route: comma-separated shard members, each name=addr or name=addr;readyz-url")
-	caseBase   = flag.Uint64("case-base", 0, "-serve -fleet: namespace case ids above this base; give each shard a disjoint base (shard i conventionally gets i<<32)")
+	caseBase   = flag.Uint64("case-base", 0, "-serve: namespace case ids above this base; give each shard a disjoint base (shard i conventionally gets i<<32)")
 )
 
 // parseMembers parses the -shards flag: comma-separated members, each
 // "name=addr", "name=addr;health-url", or a bare "addr" (which names
-// itself). The member order is the router's unrouted-fallback scan
-// order; the ring itself is order-independent.
+// itself). Placement is order-independent.
 func parseMembers(spec string) ([]shard.Member, error) {
 	var ms []shard.Member
 	for _, raw := range strings.Split(spec, ",") {

@@ -10,7 +10,7 @@ import (
 	"snorlax/internal/pt"
 )
 
-// TenantID identifies a program registered with a fleet-mode server:
+// TenantID identifies a program registered with a diagnosis server:
 // the fingerprint of its canonical IR text. Registering the same
 // program from any client yields the same id.
 type TenantID = proto.TenantID
@@ -23,17 +23,17 @@ type CaseID = proto.CaseID
 // accepted traces (Have shows progress).
 type Directive = proto.Directive
 
-// FleetClient speaks the fleet session protocol: register programs,
-// report failures, poll directives, batch-upload triggered snapshots,
-// and fetch published reports. Unlike the single-program session
-// (RemoteDiagnoser), every fleet operation is idempotent, so a client
-// that loses its connection can simply reconnect and repeat the
-// operation.
+// FleetClient speaks the fleet protocol request by request: register
+// programs, report failures, poll directives, batch-upload triggered
+// snapshots, and fetch published reports. Every operation is
+// idempotent, so a client that loses its connection can simply
+// reconnect and repeat the operation. RemoteDiagnoser runs the same
+// requests as one program's diagnosis session.
 type FleetClient struct {
 	conn *proto.Conn
 }
 
-// DialFleet connects to a fleet-mode diagnosis server.
+// DialFleet connects to a diagnosis server.
 func DialFleet(network, addr string) (*FleetClient, error) {
 	c, err := proto.Dial(network, addr)
 	if err != nil {
@@ -123,7 +123,7 @@ type FleetResult struct {
 	Uploaded, Accepted int
 }
 
-// RunFleet simulates a production fleet against a fleet-mode server at
+// RunFleet simulates a production fleet against a diagnosis server at
 // addr: Clients agents register failing (the deployed build, and the
 // program under diagnosis), reproduce its failure, report it — joining
 // one shared case — then run ok (the successful build) with the

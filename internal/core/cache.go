@@ -16,12 +16,11 @@ import (
 const maxCachedAnalyses = 64
 
 // analysisKey identifies one solved points-to analysis: the module it
-// was built for, which analysis flavor ran, and a fingerprint of the
-// executed scope that restricted constraint generation.
+// was built for and a fingerprint of the executed scope that
+// restricted constraint generation.
 type analysisKey struct {
-	mod         *ir.Module
-	unification bool
-	scopeHash   uint64
+	mod       *ir.Module
+	scopeHash uint64
 }
 
 // cachedAnalysis pairs the solved analysis with the canonical scope it
@@ -33,10 +32,9 @@ type cachedAnalysis struct {
 }
 
 // lockedAnalysis serializes queries to a shared points-to analysis.
-// Both Andersen and Steensgaard mutate internal state on reads —
-// object interning for operands first seen at query time, union-find
-// path compression — so an analysis shared across concurrent
-// diagnoses must be locked. The ObjSets PointsTo returns are not
+// The Andersen analysis mutates internal state on reads — it interns
+// objects for operands first seen at query time — so an analysis
+// shared across concurrent diagnoses must be locked. The ObjSets PointsTo returns are not
 // mutated by later queries, so reading them outside the lock is safe.
 type lockedAnalysis struct {
 	mu sync.Mutex
@@ -56,14 +54,14 @@ func (l *lockedAnalysis) MayAlias(p, q ir.Value) bool {
 }
 
 // scopedAnalysis returns the points-to analysis for scope, reusing a
-// cached solve when the module, flavor and executed scope all match —
+// cached solve when the module and executed scope both match —
 // the steady-state fast path that skips step 4 entirely. The second
 // result reports whether the cache served the request.
 func (s *Server) scopedAnalysis(scope pointsto.Scope) (ranking.Analysis, bool) {
 	if s.DisableCache {
 		return s.analysisFor(scope), false
 	}
-	key := analysisKey{mod: s.Mod, unification: s.UseUnification, scopeHash: scope.Hash()}
+	key := analysisKey{mod: s.Mod, scopeHash: scope.Hash()}
 	canon := scope.SortedPCs()
 	m := s.metrics()
 

@@ -206,12 +206,6 @@ type Server struct {
 	// 0 uses runtime.GOMAXPROCS(0); 1 forces the serial path. Any
 	// setting produces bit-identical diagnoses.
 	Workers int
-	// UseUnification switches the points-to stage to the
-	// Steensgaard baseline (ablation only).
-	UseUnification bool
-	// DisableRanking turns off type-based ranking (ablation only):
-	// every candidate gets rank 1.
-	DisableRanking bool
 	// DisableCache turns off the points-to analysis cache — for
 	// ablations and cold-path timing measurements (Table 4 reports
 	// uncached solve times).
@@ -239,9 +233,6 @@ func NewServer(mod *ir.Module) *Server {
 
 // analysisFor builds the points-to analysis for a scope.
 func (s *Server) analysisFor(scope pointsto.Scope) ranking.Analysis {
-	if s.UseUnification {
-		return pointsto.NewSteensgaard(s.Mod, scope)
-	}
 	return pointsto.NewAndersen(s.Mod, scope)
 }
 
@@ -296,11 +287,6 @@ func (s *Server) Diagnose(failing *RunReport, successes []*RunReport) (*Diagnosi
 		fi.PC = anchor.PC()
 	}
 	cands := ranking.Rank(s.Mod, failInstr, class, analysis, scope)
-	if s.DisableRanking {
-		for i := range cands {
-			cands[i].Rank = 1
-		}
-	}
 	rankTime := time.Since(rankStart)
 
 	// Step 6: bug-pattern computation with partial flow sensitivity.
@@ -399,8 +385,11 @@ func (s *Server) Diagnose(failing *RunReport, successes []*RunReport) (*Diagnosi
 
 	// Commit the per-stage span in one pass, so every stage histogram's
 	// count equals the number of completed diagnoses; a diagnosis that
-	// errored out above recorded nothing.
-	if sp := s.span(); sp != nil {
+	// errored out above recorded nothing. The span is started here, not
+	// in a helper, so it stays on the stack even in builds that inline
+	// less (-race).
+	if !s.DisableObs {
+		sp := m.pipeline.Span()
 		sp.Record(obs.StageDecode, rawDecodeTime)
 		sp.Record(obs.StageTraceProc, procTime)
 		sp.Record(obs.StagePointsTo, ptTime)
@@ -496,10 +485,6 @@ func (s *Server) watchSet(pats []*pattern.Pattern) pt.Watch {
 // restriction and reports its wall-clock cost — the Table 4 baseline.
 func (s *Server) WholeProgramAnalysisTime() time.Duration {
 	start := time.Now()
-	if s.UseUnification {
-		pointsto.NewSteensgaard(s.Mod, nil)
-	} else {
-		pointsto.NewAndersen(s.Mod, nil)
-	}
+	pointsto.NewAndersen(s.Mod, nil)
 	return time.Since(start)
 }

@@ -86,12 +86,3 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 // of truth behind CacheStats, DroppedSuccessCount, the protocol
 // status reply, and the Prometheus endpoint.
 func (s *Server) Metrics() *obs.Registry { return s.metrics().reg }
-
-// span starts a per-diagnosis pipeline span, or nil (a no-op
-// recorder) when observability is disabled.
-func (s *Server) span() *obs.Span {
-	if s.DisableObs {
-		return nil
-	}
-	return s.metrics().pipeline.Span()
-}

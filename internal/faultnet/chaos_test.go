@@ -53,6 +53,8 @@ func corruptRing(snap *pt.Snapshot) *pt.Snapshot {
 // schedule — with one success snapshot ring-corrupted for good measure
 // — and the diagnosis must come out bit-identical to a fault-free run
 // of the same session, with the degradation visible in the counters.
+// The session is a fleet case, so every retried request is an
+// idempotent fleet request.
 func TestChaosConvergesBitIdentical(t *testing.T) {
 	bug := corpus.ByID("pbzip2-1")
 	failInst := bug.Build(corpus.Variant{Failing: true})
@@ -83,12 +85,9 @@ func TestChaosConvergesBitIdentical(t *testing.T) {
 	}
 	t.Cleanup(func() { cleanLn.Close() })
 	go proto.NewServer(core.NewServer(failInst.Mod)).Serve(cleanLn)
-	cc, err := proto.Dial("tcp", cleanLn.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := proto.DialRetrying("tcp", cleanLn.Addr().String(), proto.RetryConfig{MaxAttempts: 1})
 	defer cc.Close()
-	if _, err := cc.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := cc.ReportFailure(failInst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	for _, snap := range uploads {
@@ -96,9 +95,12 @@ func TestChaosConvergesBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := cc.RequestDiagnosis()
+	want, err := cc.Diagnose()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cc.Retries() != 0 {
+		t.Fatalf("clean run Retries = %d, want 0", cc.Retries())
 	}
 	if want.Stats.DroppedSuccesses != 1 {
 		t.Fatalf("clean run DroppedSuccesses = %d, want 1", want.Stats.DroppedSuccesses)
@@ -127,7 +129,7 @@ func TestChaosConvergesBitIdentical(t *testing.T) {
 					MaxDelay: 20 * time.Millisecond, JitterSeed: seed})
 			defer rc.Close()
 
-			if _, err := rc.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+			if _, err := rc.ReportFailure(failInst.Mod, rep.Failure, rep.Snapshot); err != nil {
 				t.Fatalf("ReportFailure through chaos: %v", err)
 			}
 			for i, snap := range uploads {
@@ -135,9 +137,9 @@ func TestChaosConvergesBitIdentical(t *testing.T) {
 					t.Fatalf("SendSuccess %d through chaos: %v", i, err)
 				}
 			}
-			got, err := rc.RequestDiagnosis()
+			got, err := rc.Diagnose()
 			if err != nil {
-				t.Fatalf("RequestDiagnosis through chaos: %v", err)
+				t.Fatalf("Diagnose through chaos: %v", err)
 			}
 
 			if !reflect.DeepEqual(got.Scores, want.Scores) || !reflect.DeepEqual(got.Best, want.Best) {

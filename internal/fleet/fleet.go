@@ -10,13 +10,11 @@
 // keyed by module fingerprint, failure reports join the existing case
 // for their PC, and batch uploads carry (client id, sequence number)
 // so replays are deduplicated — which lets agents survive transport
-// faults with a plain reconnect-and-retry loop, no session replay
-// needed.
+// faults through proto.RetryClient's plain reconnect-and-retry loop.
 package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -86,13 +84,6 @@ func (c Config) seedBase() int64 {
 	return c.SeedBase
 }
 
-func (c Config) maxAttempts() int {
-	if c.MaxAttempts <= 0 {
-		return 8
-	}
-	return c.MaxAttempts
-}
-
 func (c Config) opTimeout() time.Duration {
 	if c.OpTimeout <= 0 {
 		return 30 * time.Second
@@ -127,65 +118,10 @@ type Result struct {
 	Uploaded, Accepted int
 }
 
-// agentConn is one agent's reconnecting connection: transport faults
-// drop the connection and the operation is retried on a fresh dial,
-// which is safe because every fleet operation is idempotent. Server
-// "error" replies are deterministic rejections and are returned.
-type agentConn struct {
-	ctx       context.Context
-	dial      func() (net.Conn, error)
-	attempts  int
-	opTimeout time.Duration
-	conn      *proto.Conn
-}
-
-func (a *agentConn) close() {
-	if a.conn != nil {
-		a.conn.Close()
-		a.conn = nil
-	}
-}
-
-func (a *agentConn) do(fn func(c *proto.Conn) error) error {
-	var lastErr error
-	for i := 0; i < a.attempts; i++ {
-		if err := a.ctx.Err(); err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("fleet: %w (last attempt: %v)", err, lastErr)
-			}
-			return err
-		}
-		if i > 0 {
-			select {
-			case <-a.ctx.Done():
-				return a.ctx.Err()
-			case <-time.After(time.Duration(i) * 5 * time.Millisecond):
-			}
-		}
-		if a.conn == nil {
-			nc, err := a.dial()
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			a.conn = proto.NewConn(nc)
-		}
-		c := a.conn
-		c.SetDeadline(time.Now().Add(a.opTimeout))
-		err := fn(c)
-		c.SetDeadline(time.Time{})
-		if err == nil {
-			return nil
-		}
-		var se *proto.ServerError
-		if errors.As(err, &se) {
-			return err
-		}
-		lastErr = err
-		a.close()
-	}
-	return fmt.Errorf("fleet: giving up after %d attempts: %w", a.attempts, lastErr)
-}
+// retryBaseDelay is an agent's first reconnect backoff; it doubles per
+// attempt. Agents retry on a tighter schedule than RetryConfig's 10 ms
+// default because a simulated fleet's server is a loopback away.
+const retryBaseDelay = 5 * time.Millisecond
 
 // Run drives a simulated fleet against an analysis server until the
 // failure's case is diagnosed, and returns the published report.
@@ -295,12 +231,12 @@ func prepare(p Program) (*material, error) {
 // is spent: Run and RunLoad differ only in the source they pass.
 func runAgent(cfg Config, id string, m *material, reports int, successes func(pc ir.PC) *pt.Snapshot) (*Result, error) {
 	ctx := cfg.context()
-	a := &agentConn{ctx: ctx, dial: cfg.Dial, attempts: cfg.maxAttempts(),
-		opTimeout: cfg.opTimeout()}
-	defer a.close()
+	a := proto.NewRetryClient(cfg.Dial, proto.RetryConfig{MaxAttempts: cfg.MaxAttempts,
+		BaseDelay: retryBaseDelay, OpTimeout: cfg.opTimeout()})
+	defer a.Close()
 
 	var tenant proto.TenantID
-	if err := a.do(func(c *proto.Conn) error {
+	if err := a.Do(ctx, func(c *proto.Conn) error {
 		var err error
 		tenant, err = c.Register(m.text)
 		return err
@@ -314,7 +250,7 @@ func runAgent(cfg Config, id string, m *material, reports int, successes func(pc
 		done      bool
 	)
 	for r := 0; r < reports; r++ {
-		if err := a.do(func(c *proto.Conn) error {
+		if err := a.Do(ctx, func(c *proto.Conn) error {
 			var err error
 			caseID, directive, done, err = c.ReportFleetFailure(tenant, m.failing.Failure, m.failing.Snapshot)
 			return err
@@ -337,7 +273,7 @@ func runAgent(cfg Config, id string, m *material, reports int, successes func(pc
 		// Another agent may have filled the quota: when the directive is
 		// gone, stop producing and go fetch the report.
 		var ds []proto.Directive
-		if err := a.do(func(c *proto.Conn) error {
+		if err := a.Do(ctx, func(c *proto.Conn) error {
 			var err error
 			ds, err = c.Directives(tenant)
 			return err
@@ -371,7 +307,7 @@ func runAgent(cfg Config, id string, m *material, reports int, successes func(pc
 			accepted int
 			ledger   uint64
 		)
-		if err := a.do(func(c *proto.Conn) error {
+		if err := a.Do(ctx, func(c *proto.Conn) error {
 			var err error
 			accepted, ledger, done, err = c.UploadBatchLedger(tenant, caseID, directive.TriggerPC, id, seq, batch)
 			return err
@@ -408,7 +344,7 @@ func runAgent(cfg Config, id string, m *material, reports int, successes func(pc
 			diag     *core.Diagnosis
 			reported bool
 		)
-		if err := a.do(func(c *proto.Conn) error {
+		if err := a.Do(ctx, func(c *proto.Conn) error {
 			var err error
 			diag, reported, err = c.FetchReport(tenant, caseID, directive.TriggerPC)
 			return err

@@ -21,7 +21,7 @@ package pattern
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"snorlax/internal/ir"
 	"snorlax/internal/ranking"
@@ -93,15 +93,22 @@ type Pattern struct {
 // Key returns the canonical identity used to match the pattern across
 // executions for statistical diagnosis.
 func (p *Pattern) Key() string {
-	parts := make([]string, len(p.PCs))
+	kind := p.Kind.String()
+	b := make([]byte, 0, len(kind)+len(p.Sub)+8+8*len(p.PCs))
+	b = append(b, kind...)
+	b = append(b, ':')
+	b = append(b, p.Sub...)
+	b = append(b, ':')
 	for i, pc := range p.PCs {
-		parts[i] = fmt.Sprintf("%d", pc)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(pc), 10)
 	}
-	key := fmt.Sprintf("%s:%s:%s", p.Kind, p.Sub, strings.Join(parts, ","))
 	if p.Absence {
-		key += ":first"
+		b = append(b, ":first"...)
 	}
-	return key
+	return string(b)
 }
 
 func (p *Pattern) String() string { return p.Key() }

@@ -394,13 +394,20 @@ entry:
 }
 
 func TestPatternKeyStable(t *testing.T) {
-	p := &pattern.Pattern{Kind: pattern.KindOrderViolation, Sub: "WR", PCs: []ir.PC{10, 20}}
-	if p.Key() != "order-violation:WR:10,20" {
-		t.Errorf("key = %s", p.Key())
-	}
-	d := &pattern.Pattern{Kind: pattern.KindDeadlock, Sub: "DL2", PCs: []ir.PC{1, 2, 3, 4}}
-	if d.Key() != "deadlock:DL2:1,2,3,4" {
-		t.Errorf("key = %s", d.Key())
+	for _, tc := range []struct {
+		p    pattern.Pattern
+		want string
+	}{
+		{pattern.Pattern{Kind: pattern.KindOrderViolation, Sub: "WR", PCs: []ir.PC{10, 20}}, "order-violation:WR:10,20"},
+		{pattern.Pattern{Kind: pattern.KindDeadlock, Sub: "DL2", PCs: []ir.PC{1, 2, 3, 4}}, "deadlock:DL2:1,2,3,4"},
+		{pattern.Pattern{Kind: pattern.KindDeadlock, Sub: "DL2", PCs: []ir.PC{-1, 33, -1, 33}}, "deadlock:DL2:-1,33,-1,33"},
+		{pattern.Pattern{Kind: pattern.KindOrderViolation, Sub: "WR", PCs: []ir.PC{7, 3}, Absence: true}, "order-violation:WR:7,3:first"},
+		{pattern.Pattern{Kind: pattern.KindAtomicityViolation, Sub: "RWR"}, "atomicity-violation:RWR:"},
+		{pattern.Pattern{Kind: pattern.Kind(99), Sub: "x", PCs: []ir.PC{0}}, "pattern(?):x:0"},
+	} {
+		if got := tc.p.Key(); got != tc.want {
+			t.Errorf("key = %q, want %q", got, tc.want)
+		}
 	}
 }
 

@@ -28,13 +28,13 @@ import (
 const kindOther = 0xFF
 
 var reqKindCodes = map[string]uint64{
-	"failure": 1, "success": 2, "diagnose": 3, "status": 4,
-	"register": 5, "fleet-failure": 6, "directives": 7, "batch": 8, "report": 9,
+	"status": 1, "register": 2, "fleet-failure": 3, "directives": 4,
+	"batch": 5, "report": 6, "publish": 7,
 }
 
 var respKindCodes = map[string]uint64{
-	"armed": 1, "ack": 2, "diagnosis": 3, "status": 4, "error": 5,
-	"registered": 6, "case": 7, "directives": 8, "batch": 9, "report": 10,
+	"status": 1, "error": 2, "registered": 3, "case": 4, "directives": 5,
+	"batch": 6, "report": 7,
 }
 
 var reqKindNames = invertKinds(reqKindCodes)
@@ -441,7 +441,6 @@ func appendRequestPayload(b []byte, req *Request, tids [][]int) []byte {
 	b = wire.AppendString(b, req.Client)
 	b = wire.AppendUvarint(b, req.Seq)
 	b = wire.AppendVarint(b, int64(req.RoutePC))
-	b = wire.AppendBool(b, req.Routed)
 	b = appendSnapMeta(b, req.Snapshot, tids[0])
 	b = appendSliceLen(b, len(req.Snapshots), req.Snapshots == nil)
 	for i, snap := range req.Snapshots {
@@ -555,7 +554,6 @@ func parseRequestEnvelope(payload []byte) (*RequestEnvelope, error) {
 	req.Client = d.String()
 	req.Seq = d.Uvarint()
 	req.RoutePC = ir.PC(d.Varint())
-	req.Routed = d.Bool()
 	env.metas = append(env.metas, parseSnapMeta(d))
 	n, isNil := parseSliceLen(d)
 	env.snapsNil = isNil
@@ -708,7 +706,6 @@ func (e *RequestEnvelope) Assemble(r *wire.Reader) (packets, scanErrs int, err e
 
 func appendResponsePayload(b []byte, resp *Response) []byte {
 	b = appendKind(b, respKindCodes, resp.Kind)
-	b = wire.AppendVarint(b, int64(resp.TriggerPC))
 	b = appendDiagnosis(b, resp.Diagnosis)
 	b = appendStatus(b, resp.Status)
 	b = wire.AppendString(b, resp.Err)
@@ -728,7 +725,6 @@ func parseResponsePayload(payload []byte) (Response, error) {
 	d := wire.NewDec(payload)
 	var resp Response
 	resp.Kind = parseKind(d, respKindNames)
-	resp.TriggerPC = ir.PC(d.Varint())
 	resp.Diagnosis = parseDiagnosis(d)
 	resp.Status = parseStatus(d)
 	resp.Err = d.String()

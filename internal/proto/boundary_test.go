@@ -7,37 +7,32 @@ import (
 	"testing"
 
 	"snorlax/internal/core"
+	"snorlax/internal/corpus"
 	"snorlax/internal/wire"
 )
 
-// TestCapResolution pins the documented boundary semantics of the two
-// upload caps and the derived frame limit: zero applies the documented
+// TestCapResolution pins the documented boundary semantics of the
+// upload cap and the derived frame limit: zero applies the documented
 // default, negative disables the cap, positive passes through.
 func TestCapResolution(t *testing.T) {
 	tests := []struct {
 		name           string
 		snapCfg        int64
-		succCfg        int
 		wantSnap       int64
-		wantSucc       int
 		wantFrameLimit int64
 	}{
-		{"zero-applies-defaults", 0, 0,
-			DefaultMaxSnapshotBytes, DefaultMaxSuccessesPerConn,
-			2*DefaultMaxSnapshotBytes + wire.FrameSlackBytes},
-		{"negative-means-unlimited", -1, -1, 0, 0, 0},
-		{"very-negative-means-unlimited", -1 << 40, -1 << 30, 0, 0, 0},
-		{"positive-passes-through", 4096, 7, 4096, 7, 2*4096 + wire.FrameSlackBytes},
-		{"one-byte-cap", 1, 1, 1, 1, 2 + wire.FrameSlackBytes},
+		{"zero-applies-defaults", 0,
+			DefaultMaxSnapshotBytes, 2*DefaultMaxSnapshotBytes + wire.FrameSlackBytes},
+		{"negative-means-unlimited", -1, 0, 0},
+		{"very-negative-means-unlimited", -1 << 40, 0, 0},
+		{"positive-passes-through", 4096, 4096, 2*4096 + wire.FrameSlackBytes},
+		{"one-byte-cap", 1, 1, 2 + wire.FrameSlackBytes},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s := &Server{MaxSnapshotBytes: tt.snapCfg, MaxSuccessesPerConn: tt.succCfg}
+			s := &Server{MaxSnapshotBytes: tt.snapCfg}
 			if got := s.maxSnapshotBytes(); got != tt.wantSnap {
 				t.Errorf("maxSnapshotBytes() = %d, want %d", got, tt.wantSnap)
-			}
-			if got := s.maxSuccesses(); got != tt.wantSucc {
-				t.Errorf("maxSuccesses() = %d, want %d", got, tt.wantSucc)
 			}
 			if got := s.frameLimit(); got != tt.wantFrameLimit {
 				t.Errorf("frameLimit() = %d, want %d", got, tt.wantFrameLimit)
@@ -46,9 +41,9 @@ func TestCapResolution(t *testing.T) {
 	}
 }
 
-// startCappedServer starts a TCP server with explicit cap settings and
-// returns a connected client.
-func startCappedServer(t *testing.T, bugID string, snapCap int64, succCap int) (*Conn, *Server, *core.RunReport) {
+// startCappedServer starts a TCP server with an explicit snapshot cap
+// and returns a one-attempt session client on it.
+func startCappedServer(t *testing.T, bugID string, snapCap int64) (*RetryClient, *Server, *corpus.Instance, *core.RunReport) {
 	t.Helper()
 	inst, rep := reproduce(t, bugID)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -58,14 +53,8 @@ func startCappedServer(t *testing.T, bugID string, snapCap int64, succCap int) (
 	t.Cleanup(func() { ln.Close() })
 	srv := NewServer(core.NewServer(inst.Mod))
 	srv.MaxSnapshotBytes = snapCap
-	srv.MaxSuccessesPerConn = succCap
 	go srv.Serve(ln)
-	conn, err := Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return conn, srv, rep
+	return dialSession(t, ln.Addr().String()), srv, inst, rep
 }
 
 // TestSnapshotCapBoundary: a snapshot whose payload is exactly the cap
@@ -73,9 +62,9 @@ func startCappedServer(t *testing.T, bugID string, snapCap int64, succCap int) (
 // but the request.
 func TestSnapshotCapBoundary(t *testing.T) {
 	const cap = 8 << 10
-	conn, srv, rep := startCappedServer(t, "aget-1", cap, 0)
+	conn, srv, inst, rep := startCappedServer(t, "aget-1", cap)
 
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.SendSuccess(bigSnapshot(cap)); err != nil {
@@ -90,80 +79,21 @@ func TestSnapshotCapBoundary(t *testing.T) {
 		t.Errorf("OversizeRejects = %d, want 1", n)
 	}
 	// The at-cap boundary holds for failure uploads too.
-	if _, err := conn.ReportFailure(rep.Failure, bigSnapshot(cap)); err != nil {
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, bigSnapshot(cap)); err != nil {
 		t.Fatalf("at-cap failure snapshot rejected: %v", err)
 	}
-	if _, err := conn.ReportFailure(rep.Failure, bigSnapshot(cap+1)); !errors.As(err, &se) {
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, bigSnapshot(cap+1)); !errors.As(err, &se) {
 		t.Fatalf("over-cap failure snapshot: err = %v, want ServerError", err)
 	}
 }
 
-// TestSuccessCapIsPerSpool: the success cap bounds the spool of the
-// current diagnosis session, and a new failure report starts a fresh
-// spool — so a long-lived connection can serve many diagnoses, each
-// individually capped.
-func TestSuccessCapIsPerSpool(t *testing.T) {
-	conn, _, rep := startCappedServer(t, "aget-1", 0, 2)
-
-	var se *ServerError
-	for round := 0; round < 2; round++ {
-		if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-			t.Fatalf("round %d failure: %v", round, err)
-		}
-		for i := 0; i < 2; i++ {
-			if err := conn.SendSuccess(rep.Snapshot); err != nil {
-				t.Fatalf("round %d success %d rejected under the cap: %v", round, i, err)
-			}
-		}
-		if err := conn.SendSuccess(rep.Snapshot); !errors.As(err, &se) ||
-			!strings.Contains(err.Error(), "cap") {
-			t.Fatalf("round %d over-cap success: err = %v, want a cap ServerError", round, err)
-		}
-	}
-}
-
-// TestSuccessCapDefaultBoundary drives the documented default (1024)
-// on the wire: the 1024th trace is spooled, the 1025th is rejected.
-func TestSuccessCapDefaultBoundary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1025 round trips")
-	}
-	conn, _, rep := startCappedServer(t, "aget-1", 0, 0)
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	small := bigSnapshot(8)
-	for i := 0; i < DefaultMaxSuccessesPerConn; i++ {
-		if err := conn.SendSuccess(small); err != nil {
-			t.Fatalf("success %d rejected under the default cap: %v", i, err)
-		}
-	}
-	var se *ServerError
-	if err := conn.SendSuccess(small); !errors.As(err, &se) {
-		t.Fatalf("success %d: err = %v, want the default cap ServerError",
-			DefaultMaxSuccessesPerConn, err)
-	}
-}
-
-// TestNegativeCapsUnlimited: negative settings disable both caps — the
-// spool grows past the default limit and oversize accounting stays
+// TestNegativeCapsUnlimited: a negative setting disables the snapshot
+// cap — and with it the frame limit — and oversize accounting stays
 // untouched.
 func TestNegativeCapsUnlimited(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1025 round trips")
-	}
-	conn, srv, rep := startCappedServer(t, "aget-1", -1, -1)
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	conn, srv, inst, rep := startCappedServer(t, "aget-1", -1)
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
-	}
-	small := bigSnapshot(8)
-	for i := 0; i <= DefaultMaxSuccessesPerConn; i++ {
-		if err := conn.SendSuccess(small); err != nil {
-			t.Fatalf("success %d rejected with a negative (unlimited) cap: %v", i, err)
-		}
-	}
-	if n := srv.Status().OversizeRejects; n != 0 {
-		t.Errorf("OversizeRejects = %d with caps disabled, want 0", n)
 	}
 	// With the byte cap off the frame limit is off too: this connection
 	// accepts what a default-capped one kills (see
@@ -171,7 +101,10 @@ func TestNegativeCapsUnlimited(t *testing.T) {
 	if err := conn.SendSuccess(bigSnapshot(1 << 20)); err != nil {
 		t.Fatalf("1 MB snapshot rejected with caps disabled: %v", err)
 	}
-	if _, err := conn.RequestDiagnosis(); err != nil {
-		t.Fatalf("diagnosis failed over the unlimited spool: %v", err)
+	if n := srv.Status().OversizeRejects; n != 0 {
+		t.Errorf("OversizeRejects = %d with caps disabled, want 0", n)
+	}
+	if _, err := conn.Diagnose(); err != nil {
+		t.Fatalf("diagnosis failed over an uncapped upload: %v", err)
 	}
 }

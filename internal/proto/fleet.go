@@ -14,7 +14,9 @@
 // double-counted toward the quota. When a case reaches its success
 // quota (the paper's 10×), the directive disarms, the server runs Lazy
 // Diagnosis on exactly the accepted traces, and the report is
-// published for any client of the tenant to fetch.
+// published for any client of the tenant to fetch. A "publish"
+// request does the same before the quota, from the traces accepted so
+// far: it is how a single client's session asks for its verdict.
 package proto
 
 import (
@@ -353,25 +355,51 @@ func (s *Server) acceptBatch(t *tenant, c *fleetCase, client string, seq uint64,
 		s.om.fleetQuotaHave.Add(int64(accepted))
 	}
 	if err == nil && c.collecting && len(c.successes) >= c.want {
-		// The disarm is logged before it happens; if the append fails,
-		// the accepted traces above stay good and the next batch (or
-		// recovery) re-detects the full quota and retries the disarm.
-		if err = s.logFleet(&store.Record{Type: store.RecQuotaReached,
-			Tenant: string(t.id), Case: uint64(c.id)}); err != nil {
+		// If the disarm's append fails, the accepted traces above stay
+		// good and the next batch (or recovery) re-detects the full
+		// quota and retries the disarm.
+		if err = s.disarmLocked(t, c); err != nil {
 			return accepted, seen, false, err
 		}
-		c.collecting = false
 		crossed = true
-		s.om.fleetArmed.Dec()
-		s.om.fleetQuotaWant.Add(-int64(c.want))
-		s.om.fleetQuotaHave.Add(-int64(len(c.successes)))
 	}
 	return accepted, seen, crossed, err
 }
 
+// disarmLocked ends a collecting case's collection: the disarm is
+// logged before it happens, and the case's share leaves the armed and
+// quota gauges. A quota-crossing batch and a "publish" request both
+// disarm here, under fleetMu, so exactly one of them sees the case
+// collecting and runs its publishCase. The caller holds fleetMu and
+// has checked c.collecting.
+func (s *Server) disarmLocked(t *tenant, c *fleetCase) error {
+	if err := s.logFleet(&store.Record{Type: store.RecQuotaReached,
+		Tenant: string(t.id), Case: uint64(c.id)}); err != nil {
+		return err
+	}
+	c.collecting = false
+	s.om.fleetArmed.Dec()
+	s.om.fleetQuotaWant.Add(-int64(c.want))
+	s.om.fleetQuotaHave.Add(-int64(len(c.successes)))
+	return nil
+}
+
+// disarmEarly disarms a case before its quota for a "publish" request
+// and reports whether this call disarmed it, and so must publish it.
+// A case that already stopped collecting is being or has been
+// published by whoever disarmed it.
+func (s *Server) disarmEarly(t *tenant, c *fleetCase) (bool, error) {
+	s.fleetMu.Lock()
+	defer s.fleetMu.Unlock()
+	if !c.collecting {
+		return false, nil
+	}
+	return true, s.disarmLocked(t, c)
+}
+
 // publishCase runs Lazy Diagnosis on the case's accepted traces and
 // publishes the verdict. It runs in whichever connection handler
-// crossed the quota — synchronously, so Shutdown's drain covers it —
+// disarmed the case — synchronously, so Shutdown's drain covers it —
 // and must be called exactly once per case, without the fleet lock.
 // It loads a cold tenant first; a load error publishes nothing and is
 // returned to the caller.
@@ -442,11 +470,14 @@ func (s *Server) FleetCaseTraces(tenant TenantID, id CaseID) (failing *core.RunR
 	return c.failing, append([]*core.RunReport(nil), c.successes...), true
 }
 
-// serveFleetRequest routes the fleet request kinds. Shapes mirror the
-// single-program kinds: deterministic rejections reply "error" and
-// keep the connection; only reply failures close it.
-func (s *Server) serveFleetRequest(req Request, reply func(Response) bool) bool {
+// serveRequest handles one decoded request. Deterministic rejections
+// reply "error" and keep the connection; it returns false only when
+// the reply failed and the connection must close.
+func (s *Server) serveRequest(req Request, reply func(Response) bool) bool {
 	switch req.Kind {
+	case "status":
+		st := s.Status()
+		return reply(Response{Kind: "status", Status: &st})
 	case "register":
 		if s.DisableRegistration {
 			return reply(Response{Kind: "error", Err: "program registration is disabled on this server"})
@@ -456,13 +487,13 @@ func (s *Server) serveFleetRequest(req Request, reply func(Response) bool) bool 
 		}
 		id, err := s.registerText(req.ModuleText)
 		if err != nil {
-			return reply(Response{Kind: "error", Err: err.Error()})
+			return reply(errorReply(err))
 		}
 		return reply(Response{Kind: "registered", Tenant: id})
 	case "fleet-failure":
 		t := s.tenantByID(req.Tenant)
 		if t == nil {
-			return reply(Response{Kind: "error", Code: CodeUnknownTenant, Err: fmt.Sprintf("unknown tenant %q", req.Tenant)})
+			return reply(unknownTenant(req.Tenant))
 		}
 		if req.Failure == nil || req.Snapshot == nil {
 			return reply(Response{Kind: "error", Err: "fleet-failure request missing report or snapshot"})
@@ -475,11 +506,11 @@ func (s *Server) serveFleetRequest(req Request, reply func(Response) bool) bool 
 		// anything is logged, so a module that fails its checks opens
 		// no case.
 		if _, err := s.tenantCore(t); err != nil {
-			return reply(Response{Kind: "error", Err: err.Error()})
+			return reply(errorReply(err))
 		}
 		c, err := s.openCase(t, req.Failure, req.Snapshot)
 		if err != nil {
-			return reply(Response{Kind: "error", Err: err.Error()})
+			return reply(errorReply(err))
 		}
 		s.fleetMu.Lock()
 		resp := Response{Kind: "case", Tenant: t.id, Case: c.id,
@@ -489,17 +520,13 @@ func (s *Server) serveFleetRequest(req Request, reply func(Response) bool) bool 
 	case "directives":
 		t := s.tenantByID(req.Tenant)
 		if t == nil {
-			return reply(Response{Kind: "error", Code: CodeUnknownTenant, Err: fmt.Sprintf("unknown tenant %q", req.Tenant)})
+			return reply(unknownTenant(req.Tenant))
 		}
 		return reply(Response{Kind: "directives", Tenant: t.id, Directives: s.directives(t)})
 	case "batch":
-		t := s.tenantByID(req.Tenant)
-		if t == nil {
-			return reply(Response{Kind: "error", Code: CodeUnknownTenant, Err: fmt.Sprintf("unknown tenant %q", req.Tenant)})
-		}
-		c := s.caseByID(t, req.Case)
+		t, c, rejected := s.caseOf(req)
 		if c == nil {
-			return reply(Response{Kind: "error", Code: CodeUnknownCase, Err: fmt.Sprintf("unknown case %d", req.Case)})
+			return reply(rejected)
 		}
 		if req.Client == "" || req.Seq == 0 {
 			return reply(Response{Kind: "error", Err: "batch request missing client id or sequence number"})
@@ -513,40 +540,71 @@ func (s *Server) serveFleetRequest(req Request, reply func(Response) bool) bool 
 			}
 		}
 		accepted, ledger, crossed, err := s.acceptBatch(t, c, req.Client, req.Seq, req.Snapshots)
-		if err != nil {
-			return reply(Response{Kind: "error", Err: err.Error()})
+		if err == nil && crossed {
+			err = s.publishCase(t, c)
 		}
-		if crossed {
-			if err := s.publishCase(t, c); err != nil {
-				return reply(Response{Kind: "error", Err: err.Error()})
-			}
+		if err != nil {
+			return reply(errorReply(err))
 		}
 		s.fleetMu.Lock()
 		resp := Response{Kind: "batch", Tenant: t.id, Case: c.id,
 			Accepted: accepted, Done: c.done, Seq: ledger}
 		s.fleetMu.Unlock()
 		return reply(resp)
-	case "report":
-		t := s.tenantByID(req.Tenant)
-		if t == nil {
-			return reply(Response{Kind: "error", Code: CodeUnknownTenant, Err: fmt.Sprintf("unknown tenant %q", req.Tenant)})
-		}
-		c := s.caseByID(t, req.Case)
+	case "publish":
+		t, c, rejected := s.caseOf(req)
 		if c == nil {
-			return reply(Response{Kind: "error", Code: CodeUnknownCase, Err: fmt.Sprintf("unknown case %d", req.Case)})
+			return reply(rejected)
 		}
-		s.fleetMu.Lock()
-		defer s.fleetMu.Unlock()
-		if c.diagErr != "" {
-			return reply(Response{Kind: "error", Err: c.diagErr})
+		disarmed, err := s.disarmEarly(t, c)
+		if err == nil && disarmed {
+			err = s.publishCase(t, c)
 		}
-		// Diagnosis == nil with Done == false means "still collecting or
-		// diagnosing; poll again" — not an error, so retrying clients
-		// don't treat an in-progress case as a rejection.
-		return reply(Response{Kind: "report", Tenant: t.id, Case: c.id,
-			Diagnosis: c.diag, Done: c.done})
+		if err != nil {
+			return reply(errorReply(err))
+		}
+		return reply(s.report(t, c))
+	case "report":
+		t, c, rejected := s.caseOf(req)
+		if c == nil {
+			return reply(rejected)
+		}
+		return reply(s.report(t, c))
 	}
 	return reply(Response{Kind: "error", Err: fmt.Sprintf("unknown request %q", req.Kind)})
+}
+
+func errorReply(err error) Response { return Response{Kind: "error", Err: err.Error()} }
+
+func unknownTenant(id TenantID) Response {
+	return Response{Kind: "error", Code: CodeUnknownTenant, Err: fmt.Sprintf("unknown tenant %q", id)}
+}
+
+// caseOf resolves a case-scoped request's tenant and case; a nil case
+// comes with the reply rejecting the request.
+func (s *Server) caseOf(req Request) (*tenant, *fleetCase, Response) {
+	t := s.tenantByID(req.Tenant)
+	if t == nil {
+		return nil, nil, unknownTenant(req.Tenant)
+	}
+	c := s.caseByID(t, req.Case)
+	if c == nil {
+		return t, nil, Response{Kind: "error", Code: CodeUnknownCase, Err: fmt.Sprintf("unknown case %d", req.Case)}
+	}
+	return t, c, Response{}
+}
+
+// report is a case's "report" reply. Diagnosis == nil with Done ==
+// false means "still collecting or diagnosing; poll again" — not an
+// error, so retrying clients don't treat an in-progress case as a
+// rejection. A failed diagnosis replies its error.
+func (s *Server) report(t *tenant, c *fleetCase) Response {
+	s.fleetMu.Lock()
+	defer s.fleetMu.Unlock()
+	if c.diagErr != "" {
+		return Response{Kind: "error", Err: c.diagErr}
+	}
+	return Response{Kind: "report", Tenant: t.id, Case: c.id, Diagnosis: c.diag, Done: c.done}
 }
 
 // --- client side ---
@@ -618,8 +676,7 @@ func (c *Conn) UploadBatch(t TenantID, id CaseID, pc ir.PC, client string, seq u
 // to accepted.
 func (c *Conn) UploadBatchLedger(t TenantID, id CaseID, pc ir.PC, client string, seq uint64, snaps []*pt.Snapshot) (accepted int, ledger uint64, done bool, err error) {
 	resp, err := c.roundTrip(Request{Kind: "batch", Tenant: t, Case: id,
-		RoutePC: pc, Routed: true,
-		Client: client, Seq: seq, Snapshots: snaps})
+		RoutePC: pc, Client: client, Seq: seq, Snapshots: snaps})
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -635,8 +692,20 @@ func (c *Conn) UploadBatchLedger(t TenantID, id CaseID, pc ir.PC, client string,
 // or diagnosing (poll again); a diagnosis that failed surfaces as a
 // *ServerError.
 func (c *Conn) FetchReport(t TenantID, id CaseID, pc ir.PC) (d *core.Diagnosis, done bool, err error) {
-	resp, err := c.roundTrip(Request{Kind: "report", Tenant: t, Case: id,
-		RoutePC: pc, Routed: true})
+	return c.caseReport("report", t, id, pc)
+}
+
+// Publish asks the server to diagnose a case now, from the traces it
+// has accepted so far, instead of at its quota, and returns the report
+// as FetchReport does. Publishing a published case returns its report;
+// done is false only while another request is still running the case's
+// diagnosis (poll FetchReport).
+func (c *Conn) Publish(t TenantID, id CaseID, pc ir.PC) (d *core.Diagnosis, done bool, err error) {
+	return c.caseReport("publish", t, id, pc)
+}
+
+func (c *Conn) caseReport(kind string, t TenantID, id CaseID, pc ir.PC) (*core.Diagnosis, bool, error) {
+	resp, err := c.roundTrip(Request{Kind: kind, Tenant: t, Case: id, RoutePC: pc})
 	if err != nil {
 		return nil, false, err
 	}

@@ -33,33 +33,39 @@ func reproduce(t *testing.T, bugID string) (*corpus.Instance, *core.RunReport) {
 func TestRecoverableErrorsKeepConnection(t *testing.T) {
 	inst, rep := reproduce(t, "aget-1")
 	addr := startServer(t, inst.Mod)
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialSession(t, addr)
+	ctx := context.Background()
 
 	// Three recoverable rejections in a row.
-	if _, err := conn.roundTrip(Request{Kind: "frobnicate"}); err == nil {
+	if err := conn.Do(ctx, func(c *Conn) error {
+		_, err := c.roundTrip(Request{Kind: "frobnicate"})
+		return err
+	}); err == nil {
 		t.Fatal("unknown request accepted")
 	}
-	if _, err := conn.RequestDiagnosis(); err == nil || !strings.Contains(err.Error(), "before failure") {
-		t.Fatalf("premature diagnose err = %v", err)
+	if err := conn.Do(ctx, func(c *Conn) error {
+		_, _, err := c.Publish("nope", 1, 0)
+		return err
+	}); err == nil || !strings.Contains(err.Error(), "unknown tenant") {
+		t.Fatalf("publish on an unknown tenant: err = %v", err)
 	}
-	if _, err := conn.ReportFailure(nil, nil); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, err := conn.ReportFailure(inst.Mod, nil, nil); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("malformed failure err = %v", err)
 	}
 
 	// The same connection still serves a complete conversation.
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatalf("conn did not survive recoverable errors: %v", err)
 	}
-	d, err := conn.RequestDiagnosis()
+	d, err := conn.Diagnose()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Scores) == 0 {
 		t.Error("no scores after recoverable errors")
+	}
+	if conn.Retries() != 0 {
+		t.Errorf("Retries = %d: a rejection cost the connection", conn.Retries())
 	}
 }
 
@@ -78,33 +84,31 @@ func TestOversizeSnapshotRejectedConnSurvives(t *testing.T) {
 	srv := NewServer(core.NewServer(inst.Mod))
 	srv.MaxSnapshotBytes = 16 << 10
 	go srv.Serve(ln)
-
-	conn, err := Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialSession(t, ln.Addr().String())
 
 	// 20 KB snapshot: over the 16 KB cap, well under the frame limit.
 	var se *ServerError
-	if _, err := conn.ReportFailure(rep.Failure, bigSnapshot(20<<10)); !errors.As(err, &se) ||
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, bigSnapshot(20<<10)); !errors.As(err, &se) ||
 		!strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversize failure err = %v", err)
+	}
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
+		t.Fatal(err)
 	}
 	if err := conn.SendSuccess(bigSnapshot(20 << 10)); !errors.As(err, &se) {
 		t.Fatalf("oversize success err = %v", err)
 	}
 
 	// Connection still alive and fully functional.
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-		t.Fatalf("conn did not survive oversize rejects: %v", err)
-	}
 	st, err := conn.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.OversizeRejects != 2 {
 		t.Errorf("OversizeRejects = %d, want 2", st.OversizeRejects)
+	}
+	if conn.Retries() != 0 {
+		t.Errorf("Retries = %d: an oversize reject cost the connection", conn.Retries())
 	}
 }
 
@@ -127,7 +131,7 @@ func TestFrameLimitKillsConnection(t *testing.T) {
 
 	// A 1 MB message blows the decode-layer frame limit: the server
 	// replies why and disconnects.
-	err = conn.SendSuccess(bigSnapshot(1 << 20))
+	_, _, err = conn.UploadBatch("t", 1, 0, "agent-0", 1, []*pt.Snapshot{bigSnapshot(1 << 20)})
 	if err == nil {
 		t.Fatal("oversize frame accepted")
 	}
@@ -138,40 +142,6 @@ func TestFrameLimitKillsConnection(t *testing.T) {
 	}
 	if n := srv.Status().OversizeRejects; n != 1 {
 		t.Errorf("OversizeRejects = %d, want 1", n)
-	}
-}
-
-func TestSuccessCapPerConnection(t *testing.T) {
-	inst, rep := reproduce(t, "aget-1")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	srv := NewServer(core.NewServer(inst.Mod))
-	srv.MaxSuccessesPerConn = 2
-	go srv.Serve(ln)
-
-	conn, err := Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := conn.SendSuccess(rep.Snapshot); err != nil {
-			t.Fatalf("success %d: %v", i, err)
-		}
-	}
-	var se *ServerError
-	if err := conn.SendSuccess(rep.Snapshot); !errors.As(err, &se) || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("third success err = %v", err)
-	}
-	// Still serving: the session diagnoses over the two accepted traces.
-	if _, err := conn.RequestDiagnosis(); err != nil {
-		t.Fatalf("conn did not survive the success cap: %v", err)
 	}
 }
 
@@ -203,25 +173,21 @@ func TestIdleTimeoutDropsConnection(t *testing.T) {
 	}
 }
 
-// TestPanicRecovery sends a failure report whose PC is outside the
-// module — the analysis panics in InstrAt — and checks the server
-// recovers, replies, and keeps accepting work.
+// TestPanicRecovery reports a failure whose PC is outside the module
+// — the analysis panics in InstrAt when the case is published — and
+// checks the server recovers, replies, and keeps accepting work.
 func TestPanicRecovery(t *testing.T) {
 	inst, rep := reproduce(t, "aget-1")
 	addr, srv := startServerHandle(t, inst.Mod)
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialSession(t, addr)
 
 	poisoned := *rep.Failure
 	poisoned.PC = ir.PC(1 << 30)
-	if _, err := conn.ReportFailure(&poisoned, rep.Snapshot); err != nil {
+	if _, err := conn.ReportFailure(inst.Mod, &poisoned, rep.Snapshot); err != nil {
 		t.Fatal(err) // the failure upload itself is fine; the PC detonates later
 	}
 	var se *ServerError
-	if _, err := conn.RequestDiagnosis(); !errors.As(err, &se) || !strings.Contains(err.Error(), "panicked") {
+	if _, err := conn.Diagnose(); !errors.As(err, &se) || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("poisoned diagnosis err = %v", err)
 	}
 	st := srv.Status()
@@ -233,11 +199,14 @@ func TestPanicRecovery(t *testing.T) {
 	}
 
 	// The same connection — and server — still work.
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.RequestDiagnosis(); err != nil {
+	if _, err := conn.Diagnose(); err != nil {
 		t.Fatalf("server did not survive the panic: %v", err)
+	}
+	if conn.Retries() != 0 {
+		t.Errorf("Retries = %d: the panic cost the connection", conn.Retries())
 	}
 }
 
@@ -274,12 +243,8 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(fl) }()
 
-	conn, err := Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	conn := dialSession(t, ln.Addr().String())
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatalf("server died on temporary accept errors: %v", err)
 	}
 	select {
@@ -303,15 +268,11 @@ func TestShutdownDrains(t *testing.T) {
 	go func() { served <- srv.Serve(ln) }()
 
 	// One client completes a diagnosis, then idles.
-	conn, err := Dial("tcp", ln.Addr().String())
-	if err != nil {
+	conn := dialSession(t, ln.Addr().String())
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.RequestDiagnosis(); err != nil {
+	if _, err := conn.Diagnose(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -81,8 +81,8 @@ const (
 // requestKinds are the label values per-request metrics are keyed by.
 // Request.Kind is client-controlled, so anything unrecognized is
 // bucketed under "other" rather than minting unbounded label values.
-var requestKinds = []string{"failure", "success", "diagnose", "status",
-	"register", "fleet-failure", "directives", "batch", "report", "other"}
+var requestKinds = []string{"status", "register", "fleet-failure",
+	"directives", "batch", "report", "publish", "other"}
 
 type requestMetrics struct {
 	total   *obs.Counter

@@ -27,14 +27,6 @@ import (
 	"snorlax/internal/store"
 )
 
-// sessionConn is the client surface both the plain and the retrying
-// transport expose; the consistency flows run over either.
-type sessionConn interface {
-	ReportFailure(f *core.FailureReport, snap *pt.Snapshot) (ir.PC, error)
-	SendSuccess(snap *pt.Snapshot) error
-	RequestDiagnosis() (*core.Diagnosis, error)
-}
-
 // diagnosisSession gathers one failing run and n successful triggered
 // runs of bug, ready to replay against a server.
 func diagnosisSession(t *testing.T, bugID string, n int) (*corpus.Instance, *core.RunReport, []*pt.Snapshot) {
@@ -59,18 +51,18 @@ func diagnosisSession(t *testing.T, bugID string, n int) (*corpus.Instance, *cor
 	return failInst, rep, uploads
 }
 
-// runSession replays a prepared session over conn.
-func runSession(t *testing.T, conn sessionConn, rep *core.RunReport, uploads []*pt.Snapshot) *core.Diagnosis {
+// runSession replays a prepared session of mod over rc.
+func runSession(t *testing.T, rc *RetryClient, mod *ir.Module, rep *core.RunReport, uploads []*pt.Snapshot) *core.Diagnosis {
 	t.Helper()
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := rc.ReportFailure(mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	for i, snap := range uploads {
-		if err := conn.SendSuccess(snap); err != nil {
+		if err := rc.SendSuccess(snap); err != nil {
 			t.Fatalf("SendSuccess %d: %v", i, err)
 		}
 	}
-	d, err := conn.RequestDiagnosis()
+	d, err := rc.Diagnose()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +151,18 @@ func stageCounts(t *testing.T, reg *obs.Registry) map[string]uint64 {
 // TestMetricsConsistencyEndToEnd drives a full diagnosis — including
 // one corrupt success upload — over TCP and cross-checks every
 // observable surface: status-vs-registry equality, stage histogram
-// counts in lockstep with the diagnosis count, and nonzero byte
-// accounting.
+// counts in lockstep with the diagnosis count, per-kind request
+// counts, and nonzero byte accounting.
 func TestMetricsConsistencyEndToEnd(t *testing.T) {
 	failInst, rep, uploads := diagnosisSession(t, "pbzip2-1", 4)
 	uploads[2] = corruptRing(uploads[2])
 	addr, srv := startServerHandle(t, failInst.Mod)
-
-	conn, err := Dial("tcp", addr)
-	if err != nil {
+	if _, err := srv.RegisterProgram(failInst.Mod); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	d := runSession(t, conn, rep, uploads)
+
+	conn := dialSession(t, addr)
+	d := runSession(t, conn, failInst.Mod, rep, uploads)
 	if d.Stats.DroppedSuccesses != 1 {
 		t.Fatalf("DroppedSuccesses = %d, want 1", d.Stats.DroppedSuccesses)
 	}
@@ -198,7 +189,7 @@ func TestMetricsConsistencyEndToEnd(t *testing.T) {
 	for _, kind := range []struct {
 		kind string
 		want uint64
-	}{{"failure", 1}, {"success", 4}, {"diagnose", 1}, {"status", 1}} {
+	}{{"fleet-failure", 1}, {"batch", 4}, {"publish", 1}, {"status", 1}, {"register", 0}} {
 		if got := counterVal(t, reg, MetricRequests, obs.L("kind", kind.kind)); got != kind.want {
 			t.Errorf("requests{kind=%q} = %d, want %d", kind.kind, got, kind.want)
 		}
@@ -243,7 +234,7 @@ func TestMetricsConsistencyUnderFaults(t *testing.T) {
 		inj.Dialer(func() (net.Conn, error) { return net.Dial("tcp", addr) }),
 		RetryConfig{MaxAttempts: 16, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond})
 	defer rc.Close()
-	runSession(t, rc, rep, uploads)
+	runSession(t, rc, failInst.Mod, rep, uploads)
 
 	if inj.Stats().Total() == 0 {
 		t.Error("the fault schedule never fired; the test proved nothing")
@@ -277,13 +268,9 @@ func TestOversizeRejectCounted(t *testing.T) {
 	srv := NewServer(core.NewServer(inst.Mod))
 	srv.MaxSnapshotBytes = 16
 	go srv.Serve(ln)
-	conn, err := Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialSession(t, ln.Addr().String())
 
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err == nil ||
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err == nil ||
 		!strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversize upload error = %v", err)
 	}
@@ -296,55 +283,52 @@ func TestOversizeRejectCounted(t *testing.T) {
 	assertStatusMatchesRegistry(t, srv)
 }
 
-// TestStageHistogramsTrackRepeatedDiagnoses re-runs the diagnosis on
-// one connection: all eight stage histograms and the diagnosis
-// counters must advance together, and cumulative diagnose time must
-// be monotone.
+// TestStageHistogramsTrackRepeatedDiagnoses diagnoses one case per
+// round — a different program's each time — on one connection: all
+// eight stage histograms and the diagnosis counters must advance
+// together, cumulative diagnose time must be monotone, and asking
+// again for a published case's report runs no diagnosis.
 func TestStageHistogramsTrackRepeatedDiagnoses(t *testing.T) {
-	inst := corpus.ByID("aget-1").Build(corpus.Variant{Failing: true})
-	rep := core.NewClient(inst.Mod).Run(1, ir.NoPC)
-	if !rep.Failed() {
-		t.Fatal("expected failure")
-	}
+	bugs := []string{"aget-1", "pbzip2-1", "memcached-2"}
+	inst, _ := reproduce(t, bugs[0])
 	addr, srv := startServerHandle(t, inst.Mod)
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 3
+	conn := dialSession(t, addr)
+	rounds := len(bugs)
 	var lastTime time.Duration
-	for i := 1; i <= rounds; i++ {
-		if _, err := conn.RequestDiagnosis(); err != nil {
+	for i, bug := range bugs {
+		inst, rep := reproduce(t, bug)
+		if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 			t.Fatal(err)
 		}
+		for again := 0; again < 2; again++ {
+			if _, err := conn.Diagnose(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		st := srv.Status()
-		if st.CompletedDiagnoses != uint64(i) {
-			t.Fatalf("round %d: completed = %d", i, st.CompletedDiagnoses)
+		if st.CompletedDiagnoses != uint64(i+1) {
+			t.Fatalf("round %d: completed = %d", i+1, st.CompletedDiagnoses)
 		}
 		if st.DiagnoseTime < lastTime {
-			t.Errorf("round %d: DiagnoseTime went backwards (%v -> %v)", i, lastTime, st.DiagnoseTime)
+			t.Errorf("round %d: DiagnoseTime went backwards (%v -> %v)", i+1, lastTime, st.DiagnoseTime)
 		}
 		lastTime = st.DiagnoseTime
 	}
 	reg := srv.Metrics()
 	for name, count := range stageCounts(t, reg) {
-		if count != rounds {
+		if count != uint64(rounds) {
 			t.Errorf("stage %q histogram count = %d, want %d", name, count, rounds)
 		}
 	}
-	if got := counterVal(t, reg, core.MetricDiagnoses); got != rounds {
+	if got := counterVal(t, reg, core.MetricDiagnoses); got != uint64(rounds) {
 		t.Errorf("core diagnoses counter = %d, want %d", got, rounds)
 	}
-	if got := findMetric(t, reg, MetricDiagnoseSeconds).Histogram.Count(); got != rounds {
+	if got := findMetric(t, reg, MetricDiagnoseSeconds).Histogram.Count(); got != uint64(rounds) {
 		t.Errorf("diagnose_seconds count = %d, want %d", got, rounds)
 	}
-	// After the first round the points-to analysis is cached.
-	if st := srv.Status(); st.CacheMisses != 1 || st.CacheHits != rounds-1 {
-		t.Errorf("cache hits/misses = %d/%d, want %d/1", st.CacheHits, st.CacheMisses, rounds-1)
+	// Each round is a different program: one cold points-to solve each.
+	if st := srv.Status(); st.CacheMisses != uint64(rounds) || st.CacheHits != 0 {
+		t.Errorf("cache hits/misses = %d/%d, want 0/%d", st.CacheHits, st.CacheMisses, rounds)
 	}
 	assertStatusMatchesRegistry(t, srv)
 }
@@ -506,12 +490,7 @@ func isInf(v float64) bool { return v > 1e308 }
 func TestMetricsEndpointServesValidExposition(t *testing.T) {
 	failInst, rep, uploads := diagnosisSession(t, "pbzip2-1", 2)
 	addr, srv := startServerHandle(t, failInst.Mod)
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	runSession(t, conn, rep, uploads)
+	runSession(t, dialSession(t, addr), failInst.Mod, rep, uploads)
 
 	mux := obs.DebugMux(srv.Metrics())
 	rr := httptest.NewRecorder()

@@ -1,7 +1,11 @@
 // Package proto implements the client↔server protocol of the deployed
 // system (Figure 2): production clients stream failure reports and
 // trace snapshots to an analysis server; the server arms trace
-// triggers for successful executions and returns diagnoses.
+// triggers for successful executions and returns diagnoses. There is
+// one protocol, the fleet protocol (fleet.go): a failure report opens
+// or joins the case of its (program, failure PC), and a single
+// client's diagnosis session is such a case like any other
+// (RetryClient, retry.go).
 //
 // Messages travel over any net.Conn in the length-prefixed binary
 // wire format (internal/wire): CRC32C-checksummed frames, explicit
@@ -10,11 +14,10 @@
 // server feeds through the pt packet scanner while the snapshot is
 // still arriving. A connection opens with a 5-byte preamble whose
 // version byte negotiates the format; a peer that sends none is closed
-// unanswered. Protocol state lives in the connection — one failure,
-// its successful traces, one diagnosis request — while the shared
-// core.Server carries the cross-connection analysis cache. Each
-// connection runs in its own goroutine; diagnoses are bounded by a
-// server-wide semaphore so a burst of clients queues instead of
+// unanswered. Protocol state lives in the server's cases, never in a
+// connection, so any request can be retried on a fresh connection.
+// Each connection runs in its own goroutine; diagnoses are bounded by
+// a server-wide semaphore so a burst of clients queues instead of
 // oversubscribing the host.
 //
 // Connections are served by ConnServer (serve.go), the core the shard
@@ -22,7 +25,8 @@
 // byte cap enforced before a request is even decoded, panic recovery
 // around every handler, backoff on transient accept errors, and a
 // graceful drain that lets in-flight diagnoses finish. The server adds
-// the per-snapshot and per-connection success-trace caps. Recoverable
+// the per-snapshot byte cap; the per-case quota bounds how many
+// success traces a case holds. Recoverable
 // protocol errors ("unknown request", an oversize snapshot) get an
 // "error" reply and the connection keeps serving; transport and
 // decode failures disconnect.
@@ -49,21 +53,20 @@ import (
 
 // Request is a client→server message.
 type Request struct {
-	// Kind is "failure", "success", "diagnose" or "status" for the
-	// single-program session protocol, or "register", "fleet-failure",
-	// "directives", "batch" or "report" for fleet mode (see fleet.go).
+	// Kind is "status", or one of the fleet kinds "register",
+	// "fleet-failure", "directives", "batch", "report" and "publish"
+	// (see fleet.go).
 	Kind string
-	// Failure accompanies "failure" and "fleet-failure" requests.
-	Failure *core.FailureReport
-	// Snapshot accompanies "failure", "success" and "fleet-failure"
-	// requests.
+	// Failure and Snapshot accompany "fleet-failure" requests.
+	Failure  *core.FailureReport
 	Snapshot *pt.Snapshot
 	// ModuleText is the canonical IR text of the program being
 	// registered ("register" requests).
 	ModuleText string
 	// Tenant scopes fleet requests to a registered program.
 	Tenant TenantID
-	// Case identifies the diagnosis case ("batch", "report").
+	// Case identifies the diagnosis case ("batch", "report",
+	// "publish").
 	Case CaseID
 	// Client names the uploading agent and Seq is the 1-based sequence
 	// number of Snapshots[0] in that agent's per-case upload stream;
@@ -73,26 +76,22 @@ type Request struct {
 	// Snapshots carries a batch of triggered success snapshots
 	// ("batch" requests).
 	Snapshots []*pt.Snapshot
-	// RoutePC is the routing hint for sharded deployments: the case's
-	// trigger (failure) PC, which together with Tenant forms the
-	// consistent-hash routing key. Routed distinguishes an explicit
-	// PC 0 from an unset hint. The server itself ignores both; the
-	// shard router routes "batch" and "report" requests by them.
+	// RoutePC is the case's trigger (failure) PC, which together with
+	// Tenant forms the consistent-hash routing key of a sharded
+	// deployment. Every "batch", "report" and "publish" request
+	// carries it; the server itself ignores it, and the shard router
+	// routes by it.
 	RoutePC ir.PC
-	Routed  bool
 }
 
 // Response is a server→client message.
 type Response struct {
-	// Kind is "armed", "ack", "diagnosis", "status" or "error" for the
-	// session protocol, or "registered", "case", "directives", "batch"
-	// or "report" for fleet mode.
+	// Kind is "status" or "error", or one of the fleet kinds
+	// "registered", "case", "directives", "batch" and "report" (the
+	// reply to both "report" and "publish" requests).
 	Kind string
-	// TriggerPC tells the client where to snapshot successful
-	// executions ("armed" responses).
-	TriggerPC ir.PC
-	// Diagnosis accompanies "diagnosis" and "report" responses (nil on
-	// a "report" response whose case is still collecting).
+	// Diagnosis accompanies "report" responses (nil while the case is
+	// still collecting or being diagnosed).
 	Diagnosis *core.Diagnosis
 	// Status accompanies "status" responses.
 	Status *ServerStatus
@@ -131,8 +130,7 @@ const (
 	// server has not registered.
 	CodeUnknownTenant = "unknown-tenant"
 	// CodeUnknownCase rejects a fleet request naming a case this
-	// server has not opened. On a sharded deployment it also means
-	// "not my shard" — the router's fallback scan keys off it.
+	// server has not opened.
 	CodeUnknownCase = "unknown-case"
 )
 
@@ -186,22 +184,20 @@ type ServerStatus struct {
 	PanicsRecovered uint64
 }
 
-// Byte-cap defaults. A 64 KB-per-thread ring snapshot from a program
-// with a few dozen threads is a few MB; the default leaves an order
-// of magnitude of headroom while still stopping a runaway client long
-// before the server's memory is at stake.
-const (
-	// DefaultMaxSnapshotBytes caps the total ring bytes of one
-	// uploaded snapshot. The rule itself — both its tiers — lives in
-	// wire.Limits, shared with the shard router.
-	DefaultMaxSnapshotBytes = wire.DefaultMaxSnapshotBytes
-	// DefaultMaxSuccessesPerConn caps success traces spooled by one
-	// connection.
-	DefaultMaxSuccessesPerConn = 1024
-)
+// DefaultMaxSnapshotBytes caps the total ring bytes of one uploaded
+// snapshot. A 64 KB-per-thread ring snapshot from a program with a few
+// dozen threads is a few MB; the default leaves an order of magnitude
+// of headroom while still stopping a runaway client long before the
+// server's memory is at stake. The rule itself — both its tiers —
+// lives in wire.Limits, shared with the shard router.
+const DefaultMaxSnapshotBytes = wire.DefaultMaxSnapshotBytes
 
-// Server serves diagnosis requests for one module.
+// Server is the analysis server: it serves the fleet protocol for
+// every registered program.
 type Server struct {
+	// Core is the template of every tenant's analysis server: tenants
+	// copy its Workers, PT and MaxSuccessTraces, and share its metrics
+	// registry. Its own module is never diagnosed and may be nil.
 	Core *core.Server
 	// MaxConcurrent bounds simultaneous Diagnose calls across all
 	// connections; 0 means runtime.GOMAXPROCS(0). Further requests
@@ -219,14 +215,7 @@ type Server struct {
 	// serving; a message so large it trips the frame limit gets the
 	// reply and then the connection closes.
 	MaxSnapshotBytes int64
-	// MaxSuccessesPerConn caps success traces spooled for a
-	// connection's current diagnosis session; each new failure report
-	// starts a fresh spool, so it bounds live memory, not the
-	// connection's lifetime total. 0 means DefaultMaxSuccessesPerConn,
-	// negative means unlimited. Excess uploads get an "error" reply and
-	// are not spooled.
-	MaxSuccessesPerConn int
-	// FleetQuota is the per-case success-trace quota in fleet mode;
+	// FleetQuota is the per-case success-trace quota;
 	// 0 means DefaultFleetQuota (the paper's 10×).
 	FleetQuota int
 	// CaseBase offsets this server's case numbering: the first case
@@ -235,7 +224,7 @@ type Server struct {
 	// fleet-wide and a merged directive listing is unambiguous.
 	CaseBase uint64
 	// DisableRegistration rejects client "register" requests, limiting
-	// fleet mode to programs pre-registered with RegisterProgram.
+	// the server to programs pre-registered with RegisterProgram.
 	DisableRegistration bool
 	// Store, when non-nil, is the durable case store: every fleet
 	// state transition (registration, case open, trace accept, quota,
@@ -300,16 +289,6 @@ func (s *Server) maxSnapshotBytes() int64 {
 	return wire.Limits{MaxSnapshotBytes: s.MaxSnapshotBytes}.SnapshotCap()
 }
 
-func (s *Server) maxSuccesses() int {
-	switch {
-	case s.MaxSuccessesPerConn < 0:
-		return 0 // unlimited
-	case s.MaxSuccessesPerConn == 0:
-		return DefaultMaxSuccessesPerConn
-	}
-	return s.MaxSuccessesPerConn
-}
-
 // frameLimit is the decode-layer cap on one message: past this, the
 // connection dies rather than the server's heap. The two-tier rule is
 // wire.Limits, shared verbatim with the shard router.
@@ -329,8 +308,7 @@ func snapshotBytes(snap *pt.Snapshot) int64 {
 	return n
 }
 
-// diagnose runs one bounded diagnosis on the given analysis server
-// (s.Core for the session protocol, a tenant's core in fleet mode),
+// diagnose runs one bounded diagnosis on a tenant's analysis server,
 // maintaining the queue/active counters the status response reports.
 // A panicking diagnosis — a poisoned failing trace driving the
 // analysis somewhere impossible — is recovered into an error so the
@@ -434,11 +412,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(err, s.Store.Flush(), s.Store.Close())
 }
 
-// connHandler plugs the server into the serving core. Each connection
-// carries its own single-program session state; each request is
-// assembled (its pt packets scanned as the chunks arrive) and served,
-// its count and latency recorded before the reply is flushed, so a
-// client holding an answer always sees its request counted.
+// connHandler plugs the server into the serving core. A connection
+// carries no state of its own; each request is assembled (its pt
+// packets scanned as the chunks arrive) and served, its count and
+// latency recorded before the reply is flushed, so a client holding an
+// answer always sees its request counted.
 func (s *Server) connHandler() ConnHandler {
 	return ConnHandler{
 		IdleTimeout:  s.IdleTimeout,
@@ -447,8 +425,6 @@ func (s *Server) connHandler() ConnHandler {
 		RxBytes:      s.om.rxBytes,
 		TxBytes:      s.om.txBytes,
 		Open: func(c *ClientConn) (func(*RequestEnvelope) error, func()) {
-			var failing *core.RunReport
-			var successes []*core.RunReport
 			return func(env *RequestEnvelope) error {
 				packets, scanErrs, err := env.Assemble(c.Reader())
 				if err != nil {
@@ -463,7 +439,7 @@ func (s *Server) connHandler() ConnHandler {
 					werr = c.Reply(&resp)
 					return werr == nil
 				}
-				if !s.serveRequest(env.Req, &failing, &successes, reply) {
+				if !s.serveRequest(env.Req, reply) {
 					return werr
 				}
 				return nil
@@ -472,56 +448,8 @@ func (s *Server) connHandler() ConnHandler {
 	}
 }
 
-// serveRequest handles one decoded request. It returns false only when
-// the connection must close (reply failure); protocol-level rejections
-// reply "error" and keep the conversation going.
-func (s *Server) serveRequest(req Request, failing **core.RunReport, successes *[]*core.RunReport, reply func(Response) bool) bool {
-	switch req.Kind {
-	case "failure":
-		if req.Failure == nil || req.Snapshot == nil {
-			return reply(Response{Kind: "error", Err: "failure request missing report or snapshot"})
-		}
-		if cap := s.maxSnapshotBytes(); cap > 0 && snapshotBytes(req.Snapshot) > cap {
-			s.om.oversizeRejects.Inc()
-			return reply(Response{Kind: "error", Err: fmt.Sprintf("failure snapshot exceeds %d-byte cap", cap)})
-		}
-		*failing = &core.RunReport{Failure: req.Failure, Snapshot: req.Snapshot}
-		*successes = nil
-		return reply(Response{Kind: "armed", TriggerPC: req.Failure.PC})
-	case "success":
-		if cap := s.maxSnapshotBytes(); cap > 0 && snapshotBytes(req.Snapshot) > cap {
-			s.om.oversizeRejects.Inc()
-			return reply(Response{Kind: "error", Err: fmt.Sprintf("success snapshot exceeds %d-byte cap", cap)})
-		}
-		if cap := s.maxSuccesses(); cap > 0 && len(*successes) >= cap {
-			return reply(Response{Kind: "error", Err: fmt.Sprintf("success trace cap (%d) reached for this connection", cap)})
-		}
-		if req.Snapshot != nil {
-			*successes = append(*successes, &core.RunReport{Snapshot: req.Snapshot})
-		}
-		return reply(Response{Kind: "ack"})
-	case "diagnose":
-		if *failing == nil {
-			return reply(Response{Kind: "error", Err: "diagnose before failure report"})
-		}
-		d, err := s.diagnose(s.Core, *failing, *successes)
-		if err != nil {
-			return reply(Response{Kind: "error", Err: err.Error()})
-		}
-		return reply(Response{Kind: "diagnosis", Diagnosis: d})
-	case "status":
-		st := s.Status()
-		return reply(Response{Kind: "status", Status: &st})
-	default:
-		// Fleet kinds (and the unknown-request rejection) route through
-		// the multi-tenant layer; none of them touch the connection's
-		// single-program session state.
-		return s.serveFleetRequest(req, reply)
-	}
-}
-
-// Conn is the client side of one diagnosis conversation. It sends the
-// wire preamble before its first frame.
+// Conn is one client connection to an analysis server or a shard
+// router. It sends the wire preamble before its first frame.
 type Conn struct {
 	conn         net.Conn
 	w            *wire.Writer
@@ -529,7 +457,7 @@ type Conn struct {
 	preambleSent bool
 }
 
-// Dial connects to a diagnosis server.
+// Dial connects to an analysis server or a shard router.
 func Dial(network, addr string) (*Conn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
@@ -628,44 +556,6 @@ func (c *Conn) RelayRaw(raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame type 0x%02x where a response was expected", wire.ErrDecode, typ)
 	}
 	return payload, nil
-}
-
-// ReportFailure uploads a failure and returns the trigger PC the
-// server wants successful executions traced at.
-func (c *Conn) ReportFailure(f *core.FailureReport, snap *pt.Snapshot) (ir.PC, error) {
-	resp, err := c.roundTrip(Request{Kind: "failure", Failure: f, Snapshot: snap})
-	if err != nil {
-		return ir.NoPC, err
-	}
-	if resp.Kind != "armed" {
-		return ir.NoPC, fmt.Errorf("proto: unexpected response %q", resp.Kind)
-	}
-	return resp.TriggerPC, nil
-}
-
-// SendSuccess uploads one successful execution's trace.
-func (c *Conn) SendSuccess(snap *pt.Snapshot) error {
-	resp, err := c.roundTrip(Request{Kind: "success", Snapshot: snap})
-	if err != nil {
-		return err
-	}
-	if resp.Kind != "ack" {
-		return fmt.Errorf("proto: unexpected response %q", resp.Kind)
-	}
-	return nil
-}
-
-// RequestDiagnosis asks the server to run Lazy Diagnosis on what it
-// has received.
-func (c *Conn) RequestDiagnosis() (*core.Diagnosis, error) {
-	resp, err := c.roundTrip(Request{Kind: "diagnose"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Kind != "diagnosis" || resp.Diagnosis == nil {
-		return nil, fmt.Errorf("proto: unexpected response %q", resp.Kind)
-	}
-	return resp.Diagnosis, nil
 }
 
 // Status asks the server for its concurrency and cache counters.

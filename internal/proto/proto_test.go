@@ -29,17 +29,43 @@ func startServerHandle(t *testing.T, mod *ir.Module) (string, *Server) {
 	return ln.Addr().String(), srv
 }
 
+// dialSession returns a one-attempt session client on addr: its
+// operations share one connection, and Retries stays 0 unless a
+// transport failure forced a re-dial.
+func dialSession(t *testing.T, addr string) *RetryClient {
+	t.Helper()
+	rc := DialRetrying("tcp", addr, RetryConfig{MaxAttempts: 1})
+	t.Cleanup(func() { rc.Close() })
+	return rc
+}
+
+// assertMatchesCaseTraces requires d to be fingerprint-equal to a
+// direct core.Server.Diagnose of its case's FleetCaseTraces on srv,
+// over want success traces.
+func assertMatchesCaseTraces(t *testing.T, srv *Server, mod *ir.Module, tenant TenantID, id CaseID, d *core.Diagnosis, want int) {
+	t.Helper()
+	failing, successes, ok := srv.FleetCaseTraces(tenant, id)
+	if !ok {
+		t.Fatalf("case %d not on the server", id)
+	}
+	if len(successes) != want {
+		t.Fatalf("case holds %d success traces, want %d", len(successes), want)
+	}
+	direct, err := core.NewServer(mod).Diagnose(failing, successes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Fingerprint() != direct.Fingerprint() {
+		t.Fatalf("session report differs from a direct diagnosis of its case's traces:\nsession: %+v\ndirect:  %+v", d.Best, direct.Best)
+	}
+}
+
 func TestEndToEndOverTCP(t *testing.T) {
 	bug := corpus.ByID("pbzip2-1")
 	failInst := bug.Build(corpus.Variant{Failing: true})
 	okInst := bug.Build(corpus.Variant{Failing: false})
-	addr := startServer(t, failInst.Mod)
-
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	addr, srv := startServerHandle(t, failInst.Mod)
+	conn := dialSession(t, addr)
 
 	// Client side: reproduce the failure under trace.
 	failClient := core.NewClient(failInst.Mod)
@@ -47,7 +73,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if !rep.Failed() {
 		t.Fatal("expected failure")
 	}
-	trigger, err := conn.ReportFailure(rep.Failure, rep.Snapshot)
+	trigger, err := conn.ReportFailure(failInst.Mod, rep.Failure, rep.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +81,11 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Errorf("trigger = %d, want failure PC %d", trigger, rep.Failure.PC)
 	}
 
-	// Ten successful executions traced at the trigger.
+	// Ten successful executions traced at the trigger: exactly the
+	// quota, so the tenth upload publishes the case.
 	okClient := core.NewClient(okInst.Mod)
 	sent := 0
-	for seed := int64(1); sent < 10 && seed < 40; seed++ {
+	for seed := int64(1); sent < DefaultFleetQuota && seed < 40; seed++ {
 		okRep := okClient.Run(seed, trigger)
 		if okRep.Failed() || !okRep.Triggered {
 			continue
@@ -68,11 +95,11 @@ func TestEndToEndOverTCP(t *testing.T) {
 		}
 		sent++
 	}
-	if sent != 10 {
+	if sent != DefaultFleetQuota {
 		t.Fatalf("sent %d successful traces", sent)
 	}
 
-	d, err := conn.RequestDiagnosis()
+	d, err := conn.Diagnose()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,31 +111,17 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if !core.MatchesTruth(d.Best.Pattern, truth) {
 		t.Errorf("wire diagnosis %s does not match truth", d.Best.Pattern.Key())
 	}
-}
-
-func TestDiagnoseBeforeFailureErrors(t *testing.T) {
-	inst := corpus.ByID("aget-1").Build(corpus.Variant{Failing: true})
-	addr := startServer(t, inst.Mod)
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_, err = conn.RequestDiagnosis()
-	if err == nil || !strings.Contains(err.Error(), "before failure") {
-		t.Fatalf("err = %v", err)
+	tenant, id := conn.Case()
+	assertMatchesCaseTraces(t, srv, failInst.Mod, tenant, id, d, DefaultFleetQuota)
+	if conn.Retries() != 0 {
+		t.Errorf("Retries = %d on a clean connection, want 0", conn.Retries())
 	}
 }
 
 func TestMalformedFailureRejected(t *testing.T) {
 	inst := corpus.ByID("aget-1").Build(corpus.Variant{Failing: true})
 	addr := startServer(t, inst.Mod)
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_, err = conn.ReportFailure(nil, nil)
+	_, err := dialSession(t, addr).ReportFailure(inst.Mod, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("err = %v", err)
 	}
@@ -138,15 +151,15 @@ func TestPipeTransport(t *testing.T) {
 	srv.init()
 	go srv.conns.serveConn(b, srv.connHandler())
 
-	conn := NewConn(a)
+	conn := NewRetryClient(func() (net.Conn, error) { return a, nil }, RetryConfig{MaxAttempts: 1})
 	rep := core.NewClient(failInst.Mod).Run(1, ir.NoPC)
 	if !rep.Failed() {
 		t.Fatal("expected failure")
 	}
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := conn.ReportFailure(failInst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	d, err := conn.RequestDiagnosis()
+	d, err := conn.Diagnose()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +171,11 @@ func TestPipeTransport(t *testing.T) {
 }
 
 // TestConcurrentClientsFullFlow drives N simultaneous clients through
-// the complete protocol — failure upload, success uploads, diagnosis —
+// the complete session — failure report, success uploads, diagnosis —
 // against one shared server. Every client ships the same reproduction,
-// so every diagnosis must agree; run under -race this covers the
+// so every session joins one case: the uploads race the quota while
+// other sessions publish, and exactly one diagnosis runs, whose report
+// every client gets. Run under -race this covers the disarm race, the
 // semaphore, the counters and the shared analysis cache.
 func TestConcurrentClientsFullFlow(t *testing.T) {
 	bug := corpus.ByID("pbzip2-1")
@@ -187,17 +202,13 @@ func TestConcurrentClientsFullFlow(t *testing.T) {
 	}
 
 	const clients = 6
-	keys := make(chan string, clients)
+	diags := make(chan *core.Diagnosis, clients)
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		go func() {
-			conn, err := Dial("tcp", addr)
-			if err != nil {
-				errs <- err
-				return
-			}
+			conn := DialRetrying("tcp", addr, RetryConfig{MaxAttempts: 1})
 			defer conn.Close()
-			if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+			if _, err := conn.ReportFailure(failInst.Mod, rep.Failure, rep.Snapshot); err != nil {
 				errs <- err
 				return
 			}
@@ -207,7 +218,7 @@ func TestConcurrentClientsFullFlow(t *testing.T) {
 					return
 				}
 			}
-			d, err := conn.RequestDiagnosis()
+			d, err := conn.Diagnose()
 			if err != nil {
 				errs <- err
 				return
@@ -216,7 +227,7 @@ func TestConcurrentClientsFullFlow(t *testing.T) {
 				errs <- fmt.Errorf("empty diagnosis")
 				return
 			}
-			keys <- d.Best.Pattern.Key()
+			diags <- d
 			errs <- nil
 		}()
 	}
@@ -225,26 +236,25 @@ func TestConcurrentClientsFullFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := <-keys
+	first := <-diags
 	for c := 1; c < clients; c++ {
-		if k := <-keys; k != first {
-			t.Errorf("client diagnoses disagree: %s vs %s", k, first)
+		if d := <-diags; d.Fingerprint() != first.Fingerprint() {
+			t.Errorf("client reports disagree: %s vs %s", d.Best.Pattern.Key(), first.Best.Pattern.Key())
 		}
 	}
+	tenant := ModuleFingerprint(failInst.Mod)
+	assertMatchesCaseTraces(t, srv, failInst.Mod, tenant, 1, first, first.Stats.SuccessTraces)
 
 	st := srv.Status()
-	if st.CompletedDiagnoses != clients {
-		t.Errorf("completed = %d, want %d", st.CompletedDiagnoses, clients)
+	if st.CompletedDiagnoses != 1 {
+		t.Errorf("completed = %d, want 1 (one case)", st.CompletedDiagnoses)
 	}
 	if st.ActiveDiagnoses != 0 || st.QueuedDiagnoses != 0 {
 		t.Errorf("active/queued = %d/%d after drain, want 0/0",
 			st.ActiveDiagnoses, st.QueuedDiagnoses)
 	}
-	if st.CacheHits+st.CacheMisses != clients {
-		t.Errorf("cache hits+misses = %d, want %d", st.CacheHits+st.CacheMisses, clients)
-	}
-	if st.CacheHits == 0 {
-		t.Error("identical uploads produced no cache hits")
+	if st.CacheHits+st.CacheMisses != 1 {
+		t.Errorf("cache hits+misses = %d, want 1", st.CacheHits+st.CacheMisses)
 	}
 	if st.DiagnoseTime <= 0 {
 		t.Error("no diagnosis wall time recorded")
@@ -255,11 +265,7 @@ func TestConcurrentClientsFullFlow(t *testing.T) {
 func TestStatusOverWire(t *testing.T) {
 	inst := corpus.ByID("aget-1").Build(corpus.Variant{Failing: true})
 	addr, _ := startServerHandle(t, inst.Mod)
-	conn, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialSession(t, addr)
 
 	st, err := conn.Status()
 	if err != nil {
@@ -280,10 +286,10 @@ func TestStatusOverWire(t *testing.T) {
 	if !rep.Failed() {
 		t.Fatal("expected failure")
 	}
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := conn.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.RequestDiagnosis(); err != nil {
+	if _, err := conn.Diagnose(); err != nil {
 		t.Fatal(err)
 	}
 	st, err = conn.Status()
@@ -304,22 +310,18 @@ func TestConcurrentClients(t *testing.T) {
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		go func(c int) {
-			conn, err := Dial("tcp", addr)
-			if err != nil {
-				errs <- err
-				return
-			}
+			conn := DialRetrying("tcp", addr, RetryConfig{MaxAttempts: 1})
 			defer conn.Close()
 			rep := core.NewClient(failInst.Mod).Run(int64(c)+1, ir.NoPC)
 			if !rep.Failed() {
 				errs <- fmt.Errorf("client %d: no failure", c)
 				return
 			}
-			if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+			if _, err := conn.ReportFailure(failInst.Mod, rep.Failure, rep.Snapshot); err != nil {
 				errs <- err
 				return
 			}
-			d, err := conn.RequestDiagnosis()
+			d, err := conn.Diagnose()
 			if err != nil {
 				errs <- err
 				return

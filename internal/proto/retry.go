@@ -1,9 +1,12 @@
 package proto
 
 import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
+	mrand "math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,17 +17,18 @@ import (
 	"snorlax/internal/pt"
 )
 
-// RetryConfig tunes the reconnecting client.
+// RetryConfig tunes the reconnecting client and the shard router's
+// forwarding retries.
 type RetryConfig struct {
 	// MaxAttempts bounds how many times one operation (including the
-	// reconnect and session replay it needs) is tried; 0 means 8.
+	// reconnect it needs) is tried; 0 means 8.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry (default 10ms);
 	// it doubles per attempt up to MaxDelay (default 2s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
 	// OpTimeout bounds each round trip on the wire, turning a stalled
-	// peer into a retryable timeout; 0 means no deadline. Diagnosis
+	// peer into a retryable timeout; 0 means no deadline. Publish
 	// requests wait out the server's analysis, so leave headroom for
 	// the slowest expected diagnosis.
 	OpTimeout time.Duration
@@ -36,7 +40,8 @@ type RetryConfig struct {
 	JitterSeed int64
 }
 
-func (c RetryConfig) maxAttempts() int {
+// Attempts is how many times one operation is tried.
+func (c RetryConfig) Attempts() int {
 	if c.MaxAttempts <= 0 {
 		return 8
 	}
@@ -50,48 +55,71 @@ func (c RetryConfig) baseDelay() time.Duration {
 	return c.BaseDelay
 }
 
-func (c RetryConfig) maxDelay() time.Duration {
-	if c.MaxDelay <= 0 {
-		return 2 * time.Second
+// Backoff is the delay before the a-th retry (a ≥ 1): BaseDelay
+// doubling per attempt up to MaxDelay, scaled by 0.5+jitter for a
+// jitter draw in [0, 1) — ±50% around the exponential schedule.
+func (c RetryConfig) Backoff(a int, jitter float64) time.Duration {
+	max := c.MaxDelay
+	if max <= 0 {
+		max = 2 * time.Second
 	}
-	return c.MaxDelay
+	d := c.baseDelay() << uint(a-1)
+	if d > max || d <= 0 {
+		d = max
+	}
+	return time.Duration(float64(d) * (0.5 + jitter))
 }
 
-// RetryClient is a Conn that survives the network: it spools the
-// per-connection session state (the failure report and every success
-// trace) client-side, reconnects on transport failures with
-// exponential backoff and jitter, and replays the spool on the fresh
-// connection — so Diagnose converges to the same verdict a fault-free
-// conversation would have reached. Server "error" replies are
-// deterministic rejections and are returned, not retried.
+// RetryClient is the one reconnecting client of the fleet protocol.
+// Do runs an operation on a live connection; on a transport failure it
+// reconnects with exponential backoff and jitter and runs the
+// operation again on the fresh connection. That is safe because every
+// fleet request is idempotent: registration is keyed by module
+// fingerprint, failure reports join the case of their PC, uploads
+// carry a client id and sequence number, and publishing a published
+// case returns its report. Server "error" replies are deterministic
+// rejections and are returned, not retried.
 //
-// A RetryClient is safe for use by one goroutine at a time (the same
-// contract as Conn).
+// ReportFailure, SendSuccess and Diagnose run a single program's
+// diagnosis session as a fleet case. The session joins the (program,
+// failure PC) case like any agent, so a failure whose case another
+// client already drove to a published report gets that report.
+//
+// A RetryClient serializes its operations; share one across goroutines
+// only for calls that need no order between them.
 type RetryClient struct {
 	dial func() (net.Conn, error)
 	cfg  RetryConfig
 
-	mu        sync.Mutex
-	conn      *Conn
-	rng       *rand.Rand
-	failure   *core.FailureReport
-	failSnap  *pt.Snapshot
-	trigger   ir.PC
-	successes []*pt.Snapshot
+	mu   sync.Mutex
+	conn *Conn
+	rng  *mrand.Rand
 	// dialed flips on the first dial attempt; every dial after it is a
 	// retry (a reconnect or a re-dial after a failed connect).
 	dialed  bool
 	retries uint64
+
+	// The session: the program's tenant, the case and its trigger, and
+	// the session's own upload stream — a fresh client id per
+	// ReportFailure and the sequence number of the next upload.
+	tenant  TenantID
+	caseID  CaseID
+	trigger ir.PC
+	client  string
+	seq     uint64
 }
 
+// errNoSession rejects session calls made before ReportFailure.
+var errNoSession = errors.New("proto: no failure reported in this session")
+
 // NewRetryClient wraps a dial function (called on every connect and
-// reconnect) in a retrying session client.
+// reconnect) in a retrying client.
 func NewRetryClient(dial func() (net.Conn, error), cfg RetryConfig) *RetryClient {
 	seed := cfg.JitterSeed
 	if seed == 0 {
 		seed = DeriveJitterSeed()
 	}
-	return &RetryClient{dial: dial, cfg: cfg, rng: rand.New(rand.NewSource(seed)), trigger: ir.NoPC}
+	return &RetryClient{dial: dial, cfg: cfg, rng: mrand.New(mrand.NewSource(seed))}
 }
 
 // jitterCounter makes every derived seed process-unique even when the
@@ -125,8 +153,8 @@ func DialRetrying(network, addr string, cfg RetryConfig) *RetryClient {
 	return NewRetryClient(func() (net.Conn, error) { return net.Dial(network, addr) }, cfg)
 }
 
-// Close drops the live connection, if any. The spooled session state
-// is kept, so a later operation transparently reconnects.
+// Close drops the live connection, if any. The session is kept, so a
+// later operation transparently reconnects.
 func (r *RetryClient) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,7 +163,7 @@ func (r *RetryClient) Close() error {
 
 // Retries counts every dial after the first — reconnects after a
 // dropped transport and re-dials after failed connects. It is the
-// client-side degradation counter: zero means the session never saw a
+// client-side degradation counter: zero means the client never saw a
 // fault.
 func (r *RetryClient) Retries() uint64 {
 	r.mu.Lock()
@@ -152,11 +180,8 @@ func (r *RetryClient) dropConn() error {
 	return err
 }
 
-// session returns a live connection with the full session state
-// replayed: the spooled failure report first, then every spooled
-// success trace, exactly as a fault-free conversation would have sent
-// them.
-func (r *RetryClient) session() (*Conn, error) {
+// connect returns the live connection, dialing one if needed.
+func (r *RetryClient) connect() (*Conn, error) {
 	if r.conn != nil {
 		return r.conn, nil
 	}
@@ -168,159 +193,165 @@ func (r *RetryClient) session() (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := NewConn(nc)
-	if r.failure != nil {
-		if err := r.op(c, func() error {
-			pc, err := c.ReportFailure(r.failure, r.failSnap)
-			if err == nil {
-				r.trigger = pc
-			}
-			return err
-		}); err != nil {
-			c.Close()
-			return nil, err
-		}
-		for _, snap := range r.successes {
-			if err := r.op(c, func() error { return c.SendSuccess(snap) }); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-	}
-	r.conn = c
-	return c, nil
+	r.conn = NewConn(nc)
+	return r.conn, nil
 }
 
-// op runs one round trip under the configured deadline.
-func (r *RetryClient) op(c *Conn, fn func() error) error {
-	if r.cfg.OpTimeout > 0 {
-		c.SetDeadline(time.Now().Add(r.cfg.OpTimeout))
-		defer c.SetDeadline(time.Time{})
-	}
-	return fn()
+// Do runs fn on a live connection, retrying across reconnects until it
+// succeeds, the server rejects it deterministically, the attempt
+// budget is spent, or ctx is done. Each round trip runs under
+// OpTimeout. fn must be idempotent: it may run again after a failure
+// that hit the wire after the server had acted.
+func (r *RetryClient) Do(ctx context.Context, fn func(c *Conn) error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.do(ctx, fn)
 }
 
-// do retries fn across reconnects until it succeeds, the server
-// rejects it deterministically, or the attempt budget is spent.
-func (r *RetryClient) do(fn func(c *Conn) error) error {
+func (r *RetryClient) do(ctx context.Context, fn func(c *Conn) error) error {
 	var lastErr error
-	attempts := r.cfg.maxAttempts()
+	attempts := r.cfg.Attempts()
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			r.backoff(a)
-		}
-		c, err := r.session()
-		if err != nil {
-			var se *ServerError
-			if errors.As(err, &se) {
-				return err // replay was rejected; retrying cannot help
+			select {
+			case <-ctx.Done():
+			case <-time.After(r.cfg.Backoff(a, r.rng.Float64())):
 			}
-			lastErr = err
-			r.dropConn()
-			continue
 		}
-		if err := r.op(c, func() error { return fn(c) }); err != nil {
-			var se *ServerError
-			if errors.As(err, &se) {
-				return err
+		if err := ctx.Err(); err != nil {
+			if lastErr != nil {
+				return fmt.Errorf("proto: %w (last attempt: %v)", err, lastErr)
 			}
-			lastErr = err
-			r.dropConn()
-			continue
+			return err
 		}
-		return nil
+		c, err := r.connect()
+		if err == nil {
+			err = r.op(c, fn)
+		}
+		var se *ServerError
+		if err == nil || errors.As(err, &se) {
+			return err
+		}
+		r.dropConn()
+		lastErr = err
 	}
 	return fmt.Errorf("proto: giving up after %d attempts: %w", attempts, lastErr)
 }
 
-// backoff sleeps the a-th retry's exponential delay with ±50% jitter.
-func (r *RetryClient) backoff(a int) {
-	time.Sleep(r.backoffDelay(a))
-}
-
-// backoffDelay computes (without sleeping) the a-th retry's jittered
-// delay — split out so tests can compare whole schedules.
-func (r *RetryClient) backoffDelay(a int) time.Duration {
-	d := r.cfg.baseDelay() << uint(a-1)
-	if max := r.cfg.maxDelay(); d > max || d <= 0 {
-		d = max
+// op runs one round trip under the configured deadline.
+func (r *RetryClient) op(c *Conn, fn func(c *Conn) error) error {
+	if r.cfg.OpTimeout > 0 {
+		c.SetDeadline(time.Now().Add(r.cfg.OpTimeout))
+		defer c.SetDeadline(time.Time{})
 	}
-	return time.Duration(float64(d) * (0.5 + r.rng.Float64()))
+	return fn(c)
 }
 
-// ReportFailure spools the failure report (replacing any previous
-// session) and uploads it, reconnecting as needed. The returned PC is
-// where the server wants successful executions traced.
-func (r *RetryClient) ReportFailure(f *core.FailureReport, snap *pt.Snapshot) (ir.PC, error) {
+// ReportFailure starts a session: it reports mod's failure and returns
+// the PC the server wants successful executions traced at. The tenant
+// id is mod's fingerprint, computed here; mod is registered only if
+// the server answers that it does not know the tenant.
+func (r *RetryClient) ReportFailure(mod *ir.Module, f *core.FailureReport, snap *pt.Snapshot) (ir.PC, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.failure, r.failSnap = f, snap
-	r.successes = nil
-	r.trigger = ir.NoPC
-	r.dropConn()                                    // a new failure starts a new server-side session
-	err := r.do(func(c *Conn) error { return nil }) // session() replays the failure
-	return r.trigger, err
+	r.client = ""
+	var id [8]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		return ir.NoPC, fmt.Errorf("proto: session client id: %w", err)
+	}
+	text := ir.Print(mod)
+	r.tenant, r.seq = textFingerprint(text), 1
+	var d Directive
+	report := func(c *Conn) (err error) {
+		r.caseID, d, _, err = c.ReportFleetFailure(r.tenant, f, snap)
+		return err
+	}
+	ctx := context.Background()
+	err := r.do(ctx, report)
+	var se *ServerError
+	if errors.As(err, &se) && se.Code == CodeUnknownTenant {
+		err = r.do(ctx, func(c *Conn) error {
+			if _, err := c.Register(text); err != nil {
+				return err
+			}
+			return report(c)
+		})
+	}
+	if err != nil {
+		return ir.NoPC, err
+	}
+	r.client = "session-" + hex.EncodeToString(id[:])
+	r.trigger = d.TriggerPC
+	return r.trigger, nil
 }
 
-// SendSuccess spools one success trace and uploads it best-effort: on
-// a transport failure the trace stays spooled — buffered client-side
-// while disconnected — and is replayed on the next reconnect, so the
-// call succeeds unless the server deterministically rejects it.
+// SendSuccess uploads one successful execution's trace to the
+// session's case: a one-trace batch under the session's client id and
+// next sequence number, so a retried upload is deduplicated. Once the
+// case has met its quota it accepts nothing more, and the call still
+// succeeds.
 func (r *RetryClient) SendSuccess(snap *pt.Snapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.successes = append(r.successes, snap)
-	if r.conn == nil {
-		return nil // disconnected: spooled for replay
+	if r.client == "" {
+		return errNoSession
 	}
-	c := r.conn
-	if err := r.op(c, func() error { return c.SendSuccess(snap) }); err != nil {
-		var se *ServerError
-		if errors.As(err, &se) {
-			// Deterministic rejection (oversize, cap): unspool so the
-			// replay won't be rejected too, and surface it.
-			r.successes = r.successes[:len(r.successes)-1]
-			return err
-		}
-		r.dropConn() // spooled; the next operation replays it
-	}
-	return nil
-}
-
-// RequestDiagnosis asks for the verdict over the spooled session,
-// reconnecting and replaying until the server answers.
-func (r *RetryClient) RequestDiagnosis() (*core.Diagnosis, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var d *core.Diagnosis
-	err := r.do(func(c *Conn) error {
-		var err error
-		d, err = c.RequestDiagnosis()
+	err := r.do(context.Background(), func(c *Conn) error {
+		_, _, err := c.UploadBatch(r.tenant, r.caseID, r.trigger, r.client, r.seq, []*pt.Snapshot{snap})
 		return err
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		r.seq++
 	}
-	return d, nil
+	return err
+}
+
+// Diagnose publishes the session's case — from the traces the server
+// has accepted so far, if its quota is not met — and returns the
+// report. While another request is still diagnosing the case, it
+// polls for the report.
+func (r *RetryClient) Diagnose() (*core.Diagnosis, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.client == "" {
+		return nil, errNoSession
+	}
+	for kind := "publish"; ; kind = "report" {
+		var (
+			d    *core.Diagnosis
+			done bool
+		)
+		err := r.do(context.Background(), func(c *Conn) (err error) {
+			d, done, err = c.caseReport(kind, r.tenant, r.caseID, r.trigger)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return d, nil
+		}
+		time.Sleep(r.cfg.baseDelay())
+	}
+}
+
+// Case returns the session's tenant and case (zero values before
+// ReportFailure succeeds).
+func (r *RetryClient) Case() (TenantID, CaseID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.client == "" {
+		return "", 0
+	}
+	return r.tenant, r.caseID
 }
 
 // Status fetches the server's counters, reconnecting as needed.
 func (r *RetryClient) Status() (ServerStatus, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var st ServerStatus
-	err := r.do(func(c *Conn) error {
-		var err error
+	err := r.Do(context.Background(), func(c *Conn) (err error) {
 		st, err = c.Status()
 		return err
 	})
 	return st, err
-}
-
-// TriggerPC returns the trigger the server armed for the current
-// session (NoPC before ReportFailure succeeds).
-func (r *RetryClient) TriggerPC() ir.PC {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trigger
 }

@@ -1,9 +1,9 @@
 package proto
 
 import (
+	"context"
 	"errors"
 	"net"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -31,32 +31,14 @@ func gatherOKs(t *testing.T, bugID string, trigger ir.PC, n int) []*core.RunRepo
 	return oks
 }
 
-// TestRetryClientReplaysSessionAfterConnectionLoss kills the transport
-// mid-session and checks the client reconnects, replays the failure
-// and every spooled success trace, and reaches the clean-run verdict.
-func TestRetryClientReplaysSessionAfterConnectionLoss(t *testing.T) {
+// TestRetryClientSessionSurvivesConnectionLoss kills the transport
+// mid-session and checks the client reconnects, repeats the request
+// that failed — idempotent, so no upload is counted twice or lost —
+// and reaches the verdict a direct diagnosis of the same traces gives.
+func TestRetryClientSessionSurvivesConnectionLoss(t *testing.T) {
 	inst, rep := reproduce(t, "pbzip2-1")
 	oks := gatherOKs(t, "pbzip2-1", rep.Failure.PC, 5)
-	addr, _ := startServerHandle(t, inst.Mod)
-
-	// Clean baseline over one untouched connection.
-	clean, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clean.Close()
-	if _, err := clean.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	for _, ok := range oks {
-		if err := clean.SendSuccess(ok.Snapshot); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := clean.RequestDiagnosis()
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr, srv := startServerHandle(t, inst.Mod)
 
 	// Retrying client whose transport is murdered twice mid-session.
 	var mu sync.Mutex
@@ -78,7 +60,7 @@ func TestRetryClientReplaysSessionAfterConnectionLoss(t *testing.T) {
 	rc := NewRetryClient(dial, RetryConfig{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 	defer rc.Close()
 
-	if _, err := rc.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	if _, err := rc.ReportFailure(inst.Mod, rep.Failure, rep.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range oks {
@@ -90,20 +72,18 @@ func TestRetryClientReplaysSessionAfterConnectionLoss(t *testing.T) {
 		}
 	}
 	kill() // and again right before the diagnosis request
-	got, err := rc.RequestDiagnosis()
+	got, err := rc.Diagnose()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rc.Retries() == 0 {
 		t.Error("no retries recorded despite two killed connections")
 	}
-	if got.Stats.SuccessTraces != want.Stats.SuccessTraces {
-		t.Errorf("replayed session used %d success traces, clean run %d",
-			got.Stats.SuccessTraces, want.Stats.SuccessTraces)
+	if got.Stats.SuccessTraces != len(oks) {
+		t.Errorf("session used %d success traces, want %d", got.Stats.SuccessTraces, len(oks))
 	}
-	if !reflect.DeepEqual(got.Scores, want.Scores) || !reflect.DeepEqual(got.Best, want.Best) {
-		t.Error("diagnosis after reconnect+replay diverged from the clean run")
-	}
+	tenant, id := rc.Case()
+	assertMatchesCaseTraces(t, srv, inst.Mod, tenant, id, got, len(oks))
 }
 
 // TestRetryClientGivesUpEventually: a dead address exhausts the
@@ -125,16 +105,26 @@ func TestRetryClientGivesUpEventually(t *testing.T) {
 }
 
 // TestRetryClientDoesNotRetryServerRejections: a deterministic server
-// "error" reply must surface immediately, not burn the retry budget.
+// "error" reply must surface immediately, not burn the retry budget,
+// and a session call before any failure report fails without dialing.
 func TestRetryClientDoesNotRetryServerRejections(t *testing.T) {
 	inst, _ := reproduce(t, "aget-1")
 	addr, _ := startServerHandle(t, inst.Mod)
 	rc := DialRetrying("tcp", addr, RetryConfig{MaxAttempts: 8, BaseDelay: time.Millisecond})
 	defer rc.Close()
 
+	if _, err := rc.Diagnose(); !errors.Is(err, errNoSession) {
+		t.Fatalf("Diagnose before ReportFailure: err = %v, want errNoSession", err)
+	}
+	if err := rc.SendSuccess(nil); !errors.Is(err, errNoSession) {
+		t.Fatalf("SendSuccess before ReportFailure: err = %v, want errNoSession", err)
+	}
 	var se *ServerError
-	if _, err := rc.RequestDiagnosis(); !errors.As(err, &se) {
-		t.Fatalf("diagnose-before-failure err = %v, want ServerError", err)
+	if err := rc.Do(context.Background(), func(c *Conn) error {
+		_, _, err := c.Publish(ModuleFingerprint(inst.Mod), 1, 0)
+		return err
+	}); !errors.As(err, &se) || se.Code != CodeUnknownTenant {
+		t.Fatalf("publish on an unregistered tenant: err = %v, want an unknown-tenant ServerError", err)
 	}
 	if rc.Retries() != 0 {
 		t.Errorf("Retries = %d after a deterministic rejection, want 0", rc.Retries())

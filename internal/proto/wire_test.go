@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"snorlax/internal/core"
+	"snorlax/internal/corpus"
+	"snorlax/internal/ir"
 	"snorlax/internal/obs"
 	"snorlax/internal/pt"
 	"snorlax/internal/wire"
@@ -31,24 +34,23 @@ func readBinaryRequest(r *wire.Reader, limit int64) (Request, int, int, error) {
 // multi-snapshot batches with real ring bytes — through the binary
 // envelope+chunks encoding and requires the decode to be deep-equal.
 func TestBinaryRequestRoundTrip(t *testing.T) {
-	_, rep := reproduce(t, "aget-1")
 	fx := newFleetFixture(t, 2)
+	f := fx.failing.Failure
 	reqs := []Request{
-		{Kind: "failure", Failure: rep.Failure, Snapshot: rep.Snapshot},
-		{Kind: "success", Snapshot: rep.Snapshot},
-		{Kind: "success", Snapshot: bigSnapshot(300 << 10)}, // > MaxChunkBytes: multi-chunk
-		{Kind: "success", Snapshot: &pt.Snapshot{Threads: map[int]pt.SnapshotThread{
-			3: {Wrapped: true}, 9: {Data: []byte{1}}}, Time: 77}}, // zero-size wrapped thread
-		{Kind: "diagnose"},
 		{Kind: "status"},
 		{Kind: "register", ModuleText: fx.moduleTx},
-		{Kind: "fleet-failure", Tenant: "t", Failure: fx.failing.Failure, Snapshot: fx.failing.Snapshot},
+		{Kind: "fleet-failure", Tenant: "t", Failure: f, Snapshot: fx.failing.Snapshot},
+		{Kind: "fleet-failure", Tenant: "t", Failure: f,
+			Snapshot: bigSnapshot(300 << 10)}, // > MaxChunkBytes: multi-chunk
+		{Kind: "fleet-failure", Tenant: "t", Failure: f, Snapshot: &pt.Snapshot{Threads: map[int]pt.SnapshotThread{
+			3: {Wrapped: true}, 9: {Data: []byte{1}}}, Time: 77}}, // zero-size wrapped thread
 		{Kind: "directives", Tenant: "t"},
 		{Kind: "batch", Tenant: "t", Case: 7, Client: "agent-3", Seq: 41,
-			Snapshots: fx.okSnaps[:2], RoutePC: fx.failing.Failure.PC, Routed: true},
+			Snapshots: fx.okSnaps[:2], RoutePC: f.PC},
 		{Kind: "batch", Tenant: "t", Case: 7, Client: "agent-3", Seq: 1,
 			Snapshots: []*pt.Snapshot{nil, fx.okSnaps[0]}}, // nil slot survives
-		{Kind: "report", Tenant: "t", Case: 7, RoutePC: 0, Routed: true},
+		{Kind: "report", Tenant: "t", Case: 7, RoutePC: 0},
+		{Kind: "publish", Tenant: "t", Case: 7, RoutePC: f.PC},
 	}
 	for i, req := range reqs {
 		var buf bytes.Buffer
@@ -77,7 +79,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	resps := []Response{
 		{Kind: "ok"},
 		{Kind: "error", Err: "message exceeds frame limit", Code: CodeUnknownTenant},
-		{Kind: "failure-ack", TriggerPC: 42},
+		{Kind: "report", Tenant: "t", Case: 3, Done: true},
 		{Kind: "directives", Directives: []Directive{
 			{Tenant: "t", Case: 3, TriggerPC: 9, Want: 10, Have: 4}}},
 		{Kind: "directives", Directives: []Directive{}},
@@ -97,29 +99,37 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesDirectDiagnosis is the session protocol's
-// reference oracle: a session replayed over TCP must publish a
-// diagnosis whose fingerprint equals a direct core.Server.Diagnose of
-// the same failing and success reports — a reference no codec can
-// skew.
+// TestSessionMatchesDirectDiagnosis is the session's reference oracle:
+// a session run over TCP must get a report whose fingerprint equals a
+// direct core.Server.Diagnose of the same failing and success reports
+// — a reference no codec can skew — whether it publishes its case with
+// no success traces, with fewer than the quota, or by meeting it.
 func TestSessionMatchesDirectDiagnosis(t *testing.T) {
-	inst, rep, uploads := diagnosisSession(t, "aget-1", 6)
-	addr := startServer(t, inst.Mod)
-	got := runSession(t, dialFleet(t, addr), rep, uploads)
+	inst, rep, all := diagnosisSession(t, "aget-1", DefaultFleetQuota)
+	for _, n := range []int{0, 6, DefaultFleetQuota} {
+		t.Run(fmt.Sprintf("successes=%d", n), func(t *testing.T) {
+			uploads := all[:n]
+			addr, srv := startServerHandle(t, inst.Mod)
+			rc := dialSession(t, addr)
+			got := runSession(t, rc, inst.Mod, rep, uploads)
 
-	successes := make([]*core.RunReport, len(uploads))
-	for i, snap := range uploads {
-		successes[i] = &core.RunReport{Snapshot: snap}
-	}
-	want, err := core.NewServer(inst.Mod).Diagnose(rep, successes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint() != want.Fingerprint() {
-		t.Fatalf("session diagnosis differs from the direct one:\nsession: %+v\ndirect:  %+v", got, want)
-	}
-	if got.Stats.SuccessTraces != len(uploads) {
-		t.Fatalf("session diagnosed over %d success traces, want %d", got.Stats.SuccessTraces, len(uploads))
+			successes := make([]*core.RunReport, len(uploads))
+			for i, snap := range uploads {
+				successes[i] = &core.RunReport{Snapshot: snap}
+			}
+			want, err := core.NewServer(inst.Mod).Diagnose(rep, successes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("session diagnosis differs from the direct one:\nsession: %+v\ndirect:  %+v", got, want)
+			}
+			if got.Stats.SuccessTraces != len(uploads) {
+				t.Fatalf("session diagnosed over %d success traces, want %d", got.Stats.SuccessTraces, len(uploads))
+			}
+			tenant, id := rc.Case()
+			assertMatchesCaseTraces(t, srv, inst.Mod, tenant, id, got, n)
+		})
 	}
 }
 
@@ -129,23 +139,34 @@ func TestSessionMatchesDirectDiagnosis(t *testing.T) {
 // connection fate.
 func TestOversizeSemanticsPerCodec(t *testing.T) {
 	const cap = 8 << 10
-	addr, srv, rep := startCappedServerAddr(t, "aget-1", cap)
+	addr, srv, inst, rep := startCappedServerAddr(t, "aget-1", cap)
 	conn := dialFleet(t, addr)
 
-	if _, err := conn.ReportFailure(rep.Failure, rep.Snapshot); err != nil {
+	tenant, err := conn.Register(ir.Print(inst.Mod))
+	if err != nil {
 		t.Fatal(err)
 	}
+	id, _, _, err := conn.ReportFleetFailure(tenant, rep.Failure, rep.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	upload := func(snap *pt.Snapshot) error {
+		seq++
+		_, _, err := conn.UploadBatch(tenant, id, rep.Failure.PC, "agent-0", seq, []*pt.Snapshot{snap})
+		return err
+	}
 	// At the cap: admitted.
-	if err := conn.SendSuccess(bigSnapshot(cap)); err != nil {
+	if err := upload(bigSnapshot(cap)); err != nil {
 		t.Fatalf("at-cap snapshot rejected: %v", err)
 	}
 	// One byte over: deterministic rejection, connection survives.
 	var se *ServerError
-	if err := conn.SendSuccess(bigSnapshot(cap + 1)); !errors.As(err, &se) ||
+	if err := upload(bigSnapshot(cap + 1)); !errors.As(err, &se) ||
 		!strings.Contains(err.Error(), "cap") {
 		t.Fatalf("cap+1 snapshot: err = %v, want a cap ServerError", err)
 	}
-	if err := conn.SendSuccess(bigSnapshot(16)); err != nil {
+	if err := upload(bigSnapshot(16)); err != nil {
 		t.Fatalf("connection did not survive a semantic oversize reject: %v", err)
 	}
 	if n := srv.Status().OversizeRejects; n != 1 {
@@ -154,7 +175,7 @@ func TestOversizeSemanticsPerCodec(t *testing.T) {
 
 	// Frame-limit breach: reply (racing the close) and the connection
 	// dies.
-	if err := conn.SendSuccess(bigSnapshot(1 << 20)); err == nil {
+	if err := upload(bigSnapshot(1 << 20)); err == nil {
 		t.Fatal("frame-limit breach accepted")
 	}
 	if _, err := conn.Status(); err == nil {
@@ -201,7 +222,7 @@ func expectSilence(t *testing.T, addr string, raw []byte) {
 
 // startCappedServerAddr starts a snapshot-capped TCP server and
 // returns its address.
-func startCappedServerAddr(t *testing.T, bugID string, snapCap int64) (string, *Server, *core.RunReport) {
+func startCappedServerAddr(t *testing.T, bugID string, snapCap int64) (string, *Server, *corpus.Instance, *core.RunReport) {
 	t.Helper()
 	inst, rep := reproduce(t, bugID)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -212,7 +233,7 @@ func startCappedServerAddr(t *testing.T, bugID string, snapCap int64) (string, *
 	srv := NewServer(core.NewServer(inst.Mod))
 	srv.MaxSnapshotBytes = snapCap
 	go srv.Serve(ln)
-	return ln.Addr().String(), srv, rep
+	return ln.Addr().String(), srv, inst, rep
 }
 
 // TestUploadBatchLedgerReplayCarriesMark is the lost-reply regression:
@@ -360,7 +381,7 @@ func TestDefaultJitterSeedsDiverge(t *testing.T) {
 		defer r.Close()
 		var ds []time.Duration
 		for a := 1; a <= 6; a++ {
-			ds = append(ds, r.backoffDelay(a))
+			ds = append(ds, r.cfg.Backoff(a, r.rng.Float64()))
 		}
 		return ds
 	}
@@ -384,16 +405,14 @@ func TestDefaultJitterSeedsDiverge(t *testing.T) {
 // so an eager scan per upload would be redundant work on the fleet's
 // hottest path.
 func TestLazyScanPolicy(t *testing.T) {
-	_, rep := reproduce(t, "aget-1")
 	fx := newFleetFixture(t, 2)
 	cases := []struct {
 		req     Request
 		scanned bool
 	}{
-		{Request{Kind: "failure", Failure: rep.Failure, Snapshot: rep.Snapshot}, true},
 		{Request{Kind: "fleet-failure", Tenant: "t", Failure: fx.failing.Failure, Snapshot: fx.failing.Snapshot}, true},
 		{Request{Kind: "batch", Tenant: "t", Case: 7, Client: "a", Seq: 1,
-			Snapshots: fx.okSnaps[:2], RoutePC: fx.failing.Failure.PC, Routed: true}, false},
+			Snapshots: fx.okSnaps[:2], RoutePC: fx.failing.Failure.PC}, false},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer

@@ -86,10 +86,6 @@ func counterValue(reg *obs.Registry, name string) uint64 {
 
 // runShardChild is the child-mode main: one durable fleet shard.
 func runShardChild() {
-	mod, err := ir.Parse("module fleet\n\nfunc main() {\nentry:\n  ret\n}\n")
-	if err != nil {
-		childFatal("parse: %v", err)
-	}
 	base, err := strconv.ParseUint(os.Getenv(chaosBaseEnv), 10, 64)
 	if err != nil {
 		childFatal("case base: %v", err)
@@ -106,7 +102,7 @@ func runShardChild() {
 	if err != nil {
 		childFatal("open store: %v", err)
 	}
-	srv := proto.NewServer(core.NewServer(mod))
+	srv := proto.NewServer(core.NewServer(nil)) // every program arrives by registration
 	srv.IdleTimeout = 30 * time.Second
 	srv.WriteTimeout = 30 * time.Second
 	srv.CaseBase = base

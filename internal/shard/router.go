@@ -67,8 +67,8 @@ type RouterConfig struct {
 	Dial func(addr string) (net.Conn, error)
 	// Retry tunes per-request forwarding: attempts, jittered
 	// exponential backoff between them, and the per-round-trip
-	// deadline — the same knobs (and defaults) as the retrying
-	// session client.
+	// deadline — the same knobs, defaults and schedule as the
+	// reconnecting client (proto.RetryClient).
 	Retry proto.RetryConfig
 	// HealthInterval is the shard health probe period (0 = 500ms).
 	HealthInterval time.Duration
@@ -89,10 +89,9 @@ type RouterConfig struct {
 // request to the owning shard: registrations broadcast to all shards
 // (they are idempotent, and any shard may later own a case for the
 // tenant), failure reports route by the consistent hash of (tenant,
-// failure PC), directive listings fan out and merge, and batch and
-// report requests follow the routing hint stamped by the client — or,
-// for old clients that do not stamp one, an ordered scan keyed off
-// the shards' machine-readable "unknown case" rejection.
+// failure PC), directive listings fan out and merge, and batch, report
+// and publish requests route by the same key: the tenant and the
+// case's trigger PC, which every such request carries.
 //
 // Client connections are served by the same core as the analysis
 // server's (proto.ConnServer): accept backoff, drain, negotiation,
@@ -106,7 +105,7 @@ type RouterConfig struct {
 type Router struct {
 	cfg     RouterConfig
 	ring    *Ring
-	members []Member // sorted by name; fallback-scan order
+	members []Member // sorted by name
 	dial    func(addr string) (net.Conn, error)
 
 	reg      *obs.Registry
@@ -129,7 +128,7 @@ type Router struct {
 }
 
 // routedKinds lists the fleet request kinds the router understands.
-var routedKinds = []string{"register", "fleet-failure", "directives", "batch", "report", "status"}
+var routedKinds = []string{"register", "fleet-failure", "directives", "batch", "report", "publish", "status"}
 
 // NewRouter builds a router over the given shards.
 func NewRouter(cfg RouterConfig) (*Router, error) {
@@ -357,32 +356,12 @@ func (u *upstreams) closeAll() {
 	}
 }
 
-func (r *Router) retryAttempts() int {
-	if r.cfg.Retry.MaxAttempts <= 0 {
-		return 8
-	}
-	return r.cfg.Retry.MaxAttempts
-}
-
-// backoff sleeps the a-th retry's exponential delay with ±50% jitter
-// (RetryConfig semantics: BaseDelay doubling up to MaxDelay).
+// backoff sleeps the a-th retry's delay on the RetryConfig schedule.
 func (r *Router) backoff(a int) {
-	base := r.cfg.Retry.BaseDelay
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	max := r.cfg.Retry.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base << uint(a-1)
-	if d > max || d <= 0 {
-		d = max
-	}
 	r.rngMu.Lock()
 	f := r.rng.Float64()
 	r.rngMu.Unlock()
-	time.Sleep(time.Duration(float64(d) * (0.5 + f)))
+	time.Sleep(r.cfg.Retry.Backoff(a, f))
 }
 
 // forward runs call against member m's upstream connection,
@@ -392,7 +371,7 @@ func (r *Router) backoff(a int) {
 // error means the shard stayed unreachable through the whole budget.
 func (r *Router) forward(u *upstreams, m Member, call func(c *proto.Conn) error) error {
 	var lastErr error
-	attempts := r.retryAttempts()
+	attempts := r.cfg.Retry.Attempts()
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			r.retries[m.Name].Inc()
@@ -453,7 +432,7 @@ func (r *Router) connHandler() proto.ConnHandler {
 
 // serve handles one client request. Requests with a single owning
 // shard take the zero-copy relay; fan-out kinds (register, directives,
-// status) and unrouted requests are assembled — the same full decode
+// status) and malformed requests are assembled — the same full decode
 // the analysis server runs — and routed. The serving core has already
 // checked the message's declared size against the frame limit.
 func (r *Router) serve(c *proto.ClientConn, u *upstreams, env *proto.RequestEnvelope) error {
@@ -478,10 +457,9 @@ func (r *Router) serve(c *proto.ClientConn, u *upstreams, env *proto.RequestEnve
 var relayPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // relayOwner reports whether the request is a single-owner forward the
-// relay path can carry, and which shard owns it. Fan-out kinds, hints
-// old clients did not stamp, and malformed fleet-failures (the nil
-// check must reply before any shard is dialed) all fall back to the
-// decode path.
+// relay path can carry, and which shard owns it. Fan-out kinds, unknown
+// kinds and malformed fleet-failures (the nil check must reply before
+// any shard is dialed) fall back to the decode path.
 func (r *Router) relayOwner(env *proto.RequestEnvelope) (Member, bool) {
 	req := &env.Req
 	switch req.Kind {
@@ -490,10 +468,7 @@ func (r *Router) relayOwner(env *proto.RequestEnvelope) (Member, bool) {
 			return Member{}, false
 		}
 		return r.Owner(Key{Tenant: req.Tenant, PC: req.Failure.PC}), true
-	case "batch", "report":
-		if !req.Routed {
-			return Member{}, false
-		}
+	case "batch", "report", "publish":
 		return r.Owner(Key{Tenant: req.Tenant, PC: req.RoutePC}), true
 	}
 	return Member{}, false
@@ -550,20 +525,10 @@ func (r *Router) route(u *upstreams, req proto.Request) (proto.Response, bool) {
 		return resp, err == nil
 	case "directives":
 		return r.mergeDirectives(u, req)
-	case "batch", "report":
-		if req.Routed {
-			resp, err := r.roundTrip(u, r.Owner(Key{Tenant: req.Tenant, PC: req.RoutePC}), req)
-			return resp, err == nil
-		}
-		return r.scanForCase(u, req)
 	case "status":
 		return r.sumStatus(u, req)
 	default:
-		// The session protocol (failure/success/diagnose) binds state
-		// to one server connection; it has no routing key and is not
-		// served through the router.
-		return proto.Response{Kind: "error",
-			Err: fmt.Sprintf("router: unsupported request kind %q (fleet protocol only)", req.Kind)}, true
+		return proto.Response{Kind: "error", Err: fmt.Sprintf("unknown request %q", req.Kind)}, true
 	}
 }
 
@@ -608,26 +573,6 @@ func (r *Router) mergeDirectives(u *upstreams, req proto.Request) (proto.Respons
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].Case < ds[j].Case })
 	return proto.Response{Kind: "directives", Tenant: req.Tenant, Directives: ds}, true
-}
-
-// scanForCase serves unrouted batch/report requests from clients that
-// predate routing hints: shards are tried in name order, and the
-// machine-readable "unknown case" rejection means "not mine, ask the
-// next". Hinted requests never pay this cost.
-func (r *Router) scanForCase(u *upstreams, req proto.Request) (proto.Response, bool) {
-	var last proto.Response
-	for _, m := range r.members {
-		resp, err := r.roundTrip(u, m, req)
-		if err != nil {
-			return proto.Response{}, false
-		}
-		if resp.Kind == "error" && resp.Code == proto.CodeUnknownCase {
-			last = resp
-			continue
-		}
-		return resp, true
-	}
-	return last, true
 }
 
 // sumStatus aggregates every shard's status reply into one fleet-wide

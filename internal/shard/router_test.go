@@ -20,7 +20,6 @@ import (
 	"snorlax/internal/ir"
 	"snorlax/internal/obs"
 	"snorlax/internal/proto"
-	"snorlax/internal/pt"
 	"snorlax/internal/shard"
 )
 
@@ -32,30 +31,18 @@ type testShard struct {
 	ln     net.Listener
 }
 
-// placeholderMod is the fleet-only base module (every diagnosed
-// program arrives by registration), same as cmd/snorlax -fleet.
-func placeholderMod(t *testing.T) *ir.Module {
-	t.Helper()
-	mod, err := ir.Parse("module fleet\n\nfunc main() {\nentry:\n  ret\n}\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mod
-}
-
 // startShards brings up n in-process shards with disjoint CaseBase
 // namespaces (shard i gets i<<32). configure, when given, adjusts each
 // server before it starts serving.
 func startShards(t *testing.T, n int, configure ...func(*proto.Server)) []testShard {
 	t.Helper()
-	mod := placeholderMod(t)
 	shards := make([]testShard, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := proto.NewServer(core.NewServer(mod))
+		srv := proto.NewServer(core.NewServer(nil)) // every program arrives by registration
 		srv.IdleTimeout = 10 * time.Second
 		srv.WriteTimeout = 10 * time.Second
 		srv.CaseBase = uint64(i) << 32
@@ -252,69 +239,72 @@ func reproduce(t *testing.T, mod *ir.Module) *core.RunReport {
 	return nil
 }
 
-// TestRouterUnroutedFallbackScan serves batch and report requests
-// that carry no routing hint (a client predating the hint): the
-// router's ordered scan, keyed off the shards' machine-readable
-// "unknown case" rejection, must still find the owner.
-func TestRouterUnroutedFallbackScan(t *testing.T) {
+// TestRouterSessionMatchesDirectDiagnosis runs a single client's
+// diagnosis session through the router: the client registers through
+// the broadcast on "unknown tenant", its uploads and its publish route
+// by (tenant, trigger PC) to the owning shard, and the report is
+// fingerprint-equal to a direct diagnosis of the owner's case traces.
+// Publishing a case no shard holds relays the machine-readable
+// rejections.
+func TestRouterSessionMatchesDirectDiagnosis(t *testing.T) {
 	shards := startShards(t, 3)
-	_, addr := startRouter(t, shard.RouterConfig{Members: members(shards)})
+	router, addr := startRouter(t, shard.RouterConfig{Members: members(shards)})
 
 	bug := corpus.ByID("httpd-4")
 	failInst := bug.Build(corpus.Variant{Failing: true})
 	okInst := bug.Build(corpus.Variant{Failing: false})
 	rep := reproduce(t, failInst.Mod)
 
-	c := dialConn(t, addr)
-	tenant, err := c.Register(ir.Print(failInst.Mod))
+	rc := proto.DialRetrying("tcp", addr, proto.RetryConfig{MaxAttempts: 1})
+	defer rc.Close()
+	trigger, err := rc.ReportFailure(failInst.Mod, rep.Failure, rep.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caseID, directive, _, err := c.ReportFleetFailure(tenant, rep.Failure, rep.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Collect the quota's worth of triggered snapshots locally.
 	okClient := core.NewClient(okInst.Mod)
-	var uploads int
-	seq := uint64(1)
-	for seed := int64(1); uploads < proto.DefaultFleetQuota && seed < 4096; seed++ {
-		okRep := okClient.Run(seed, directive.TriggerPC)
+	const sent = proto.DefaultFleetQuota / 2
+	for n, seed := 0, int64(1); n < sent && seed < 4096; seed++ {
+		okRep := okClient.Run(seed, trigger)
 		if okRep.Failed() || !okRep.Triggered || okRep.Snapshot == nil {
 			continue
 		}
-		// Raw unrouted request: Routed deliberately left false.
-		resp, err := c.RoundTrip(proto.Request{Kind: "batch", Tenant: tenant, Case: caseID,
-			Client: "legacy-agent", Seq: seq, Snapshots: []*pt.Snapshot{okRep.Snapshot}})
-		if err != nil {
+		if err := rc.SendSuccess(okRep.Snapshot); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Kind != "batch" {
-			t.Fatalf("unrouted batch reply = %q (%s)", resp.Kind, resp.Err)
-		}
-		seq++
-		uploads += resp.Accepted
-		if resp.Done {
-			break
-		}
+		n++
 	}
-	resp, err := c.RoundTrip(proto.Request{Kind: "report", Tenant: tenant, Case: caseID})
+	got, err := rc.Diagnose()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resp.Kind != "report" || !resp.Done || resp.Diagnosis == nil {
-		t.Fatalf("unrouted report reply = %q done=%v (%s)", resp.Kind, resp.Done, resp.Err)
 	}
 
-	// A genuinely unknown case scans every shard and relays the
-	// machine-readable rejection.
-	resp, err = c.RoundTrip(proto.Request{Kind: "report", Tenant: tenant, Case: 99999})
+	tenant, caseID := rc.Case()
+	owner := shardByName(t, shards, router.Ring().Owner(shard.Key{Tenant: tenant, PC: trigger}))
+	failing, successes, ok := owner.srv.FleetCaseTraces(tenant, caseID)
+	if !ok {
+		t.Fatalf("owner %s has no case %d", owner.member.Name, caseID)
+	}
+	if len(successes) != sent {
+		t.Fatalf("owner accepted %d traces, want %d", len(successes), sent)
+	}
+	want, err := core.NewServer(failInst.Mod).Diagnose(failing, successes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Kind != "error" || resp.Code != proto.CodeUnknownCase {
-		t.Fatalf("unknown case reply = %q code=%q, want error/%s", resp.Kind, resp.Code, proto.CodeUnknownCase)
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("routed session report diverges from direct:\n got %v\nwant %v", got.Best, want.Best)
+	}
+
+	c := dialConn(t, addr)
+	for _, tc := range []struct {
+		tenant proto.TenantID
+		id     proto.CaseID
+		code   string
+	}{{tenant, 99999, proto.CodeUnknownCase}, {"nope", caseID, proto.CodeUnknownTenant}} {
+		var se *proto.ServerError
+		if _, _, err := c.Publish(tc.tenant, tc.id, trigger); !errors.As(err, &se) || se.Code != tc.code {
+			t.Errorf("publish of %.8s/%d: err = %v, want a %s rejection", tc.tenant, tc.id, err, tc.code)
+		}
 	}
 }
 

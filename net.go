@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"snorlax/internal/core"
-	"snorlax/internal/ir"
 	"snorlax/internal/obs"
 	"snorlax/internal/proto"
-	"snorlax/internal/pt"
 	"snorlax/internal/store"
 )
 
@@ -54,20 +52,17 @@ type ServeConfig struct {
 	// MaxSnapshotBytes caps one uploaded snapshot's total ring bytes.
 	// 0 applies a 64 MB default; negative means unlimited.
 	MaxSnapshotBytes int64
-	// MaxSuccessesPerConn caps success traces spooled for a
-	// connection's current diagnosis session; each new failure report
-	// starts a fresh spool. 0 applies a default of 1024; negative
-	// means unlimited.
-	MaxSuccessesPerConn int
-	// Programs pre-registers fleet tenants beyond the server's primary
+	// Programs pre-registers tenants beyond the server's primary
 	// program: each becomes a tenant clients can report failures under
 	// without uploading the program themselves.
 	Programs []*Program
-	// SuccessQuota is the per-case success-trace quota in fleet mode;
-	// 0 applies the paper's 10× default.
+	// SuccessQuota is the per-case success-trace quota: a case is
+	// diagnosed once it has accepted this many, or earlier when a
+	// client asks for its report (RemoteDiagnoser.Diagnose). 0 applies
+	// the paper's 10× default.
 	SuccessQuota int
 	// DisableRegistration rejects client-side program registration,
-	// restricting fleet mode to the pre-registered Programs.
+	// restricting the server to the pre-registered Programs.
 	DisableRegistration bool
 	// StateDir, when set, makes fleet state durable: every state
 	// transition (registration, case open, trace accept, quota,
@@ -98,9 +93,10 @@ type Server struct {
 	ps *proto.Server
 }
 
-// NewServer builds a diagnosis server for prog. Additional programs in
-// cfg.Programs (and, unless registration is disabled, programs clients
-// register at runtime) are served as fleet tenants alongside it. With
+// NewServer builds a diagnosis server with prog registered as a
+// tenant. Additional programs in cfg.Programs (and, unless
+// registration is disabled, programs clients register at runtime) are
+// served as tenants alongside it. With
 // a StateDir configured, NewServer opens (or recovers) the durable
 // case store before anything is registered; recovery errors and
 // unusable state directories surface here, not mid-serve.
@@ -112,7 +108,6 @@ func NewServer(prog *Program, cfg ServeConfig) (*Server, error) {
 	ps.IdleTimeout = cfg.IdleTimeout
 	ps.WriteTimeout = cfg.WriteTimeout
 	ps.MaxSnapshotBytes = cfg.MaxSnapshotBytes
-	ps.MaxSuccessesPerConn = cfg.MaxSuccessesPerConn
 	ps.FleetQuota = cfg.SuccessQuota
 	ps.DisableRegistration = cfg.DisableRegistration
 	ps.CaseBase = cfg.CaseBase
@@ -280,7 +275,7 @@ func publicStatus(st proto.ServerStatus) ServerStatus {
 // RetryConfig tunes a retrying remote client (see DialRetrying).
 type RetryConfig struct {
 	// MaxAttempts bounds how many times one operation (including any
-	// reconnect and session replay it needs) is tried; 0 means 8.
+	// reconnect it needs) is tried; 0 means 8.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry (default 10ms);
 	// it doubles per attempt up to MaxDelay (default 2s), with
@@ -293,77 +288,69 @@ type RetryConfig struct {
 	OpTimeout time.Duration
 }
 
-// protoClient is what RemoteDiagnoser needs from a transport; both
-// the plain connection and the retrying client satisfy it.
-type protoClient interface {
-	ReportFailure(f *core.FailureReport, snap *pt.Snapshot) (ir.PC, error)
-	SendSuccess(snap *pt.Snapshot) error
-	RequestDiagnosis() (*core.Diagnosis, error)
-	Status() (proto.ServerStatus, error)
-	Close() error
-}
-
-// RemoteDiagnoser is a client connection to a diagnosis server.
+// RemoteDiagnoser is a client of a diagnosis server. Its session is a
+// fleet case: ReportFailure registers the program if the server does
+// not know it and opens (or joins) the case of the failure's PC,
+// SendSuccess uploads each trace idempotently, and Diagnose publishes
+// the case from the traces accepted so far. Because the case belongs
+// to the (program, failure PC) pair, not to this client, a failure
+// whose case is already published returns that report, and the
+// session survives a reconnect — and, with a durable server, a
+// server restart.
 type RemoteDiagnoser struct {
-	prog  *Program
-	conn  protoClient
-	retry *proto.RetryClient // nil for a plain Dial connection
+	prog *Program
+	rc   *proto.RetryClient
 }
 
-// Dial connects to a diagnosis server for prog over a plain
-// connection: any transport failure surfaces as an error. Production
-// clients usually want DialRetrying instead.
+// Dial connects to a diagnosis server for prog. It is the one-attempt
+// client: the connection is made here, and any transport failure
+// surfaces as an error. Production clients usually want DialRetrying
+// instead.
 func Dial(network, addr string, prog *Program) (*RemoteDiagnoser, error) {
-	c, err := proto.Dial(network, addr)
-	if err != nil {
+	r := &RemoteDiagnoser{prog: prog, rc: proto.DialRetrying(network, addr, proto.RetryConfig{MaxAttempts: 1})}
+	if err := r.rc.Do(context.Background(), func(*proto.Conn) error { return nil }); err != nil {
 		return nil, err
 	}
-	return &RemoteDiagnoser{prog: prog, conn: c}, nil
+	return r, nil
 }
 
-// DialRetrying returns a fault-tolerant client for a diagnosis
-// server: session state is spooled client-side, transport failures
-// trigger reconnects with exponential backoff, and the session is
-// replayed on the fresh connection, so Diagnose reaches the verdict a
-// fault-free conversation would have. The first connection is made
-// lazily, so DialRetrying itself never fails; a dead address surfaces
-// from the first operation once MaxAttempts is spent.
+// DialRetrying returns a fault-tolerant client for a diagnosis server:
+// transport failures trigger reconnects with exponential backoff and
+// jitter, and the failed operation is repeated on the fresh connection
+// — safe because every operation is idempotent. The first connection
+// is made lazily, so DialRetrying itself never fails; a dead address
+// surfaces from the first operation once MaxAttempts is spent.
 func DialRetrying(network, addr string, prog *Program, cfg RetryConfig) *RemoteDiagnoser {
-	rc := proto.DialRetrying(network, addr, proto.RetryConfig{
+	return &RemoteDiagnoser{prog: prog, rc: proto.DialRetrying(network, addr, proto.RetryConfig{
 		MaxAttempts: cfg.MaxAttempts,
 		BaseDelay:   cfg.BaseDelay,
 		MaxDelay:    cfg.MaxDelay,
 		OpTimeout:   cfg.OpTimeout,
-	})
-	return &RemoteDiagnoser{prog: prog, conn: rc, retry: rc}
+	})}
 }
 
 // Close releases the connection.
-func (r *RemoteDiagnoser) Close() error { return r.conn.Close() }
+func (r *RemoteDiagnoser) Close() error { return r.rc.Close() }
 
-// Retries reports how many times a retrying client reconnected; it is
-// the client-side degradation counter (always 0 for plain Dial).
-func (r *RemoteDiagnoser) Retries() uint64 {
-	if r.retry == nil {
-		return 0
-	}
-	return r.retry.Retries()
-}
+// Retries reports how many times the client re-dialed after a
+// transport failure; it is the client-side degradation counter.
+func (r *RemoteDiagnoser) Retries() uint64 { return r.rc.Retries() }
 
 // ReportFailure uploads a failing execution; the returned PC is where
 // the server wants successful executions traced.
 func (r *RemoteDiagnoser) ReportFailure(failing *Execution) (PC, error) {
-	return r.conn.ReportFailure(failing.report.Failure, failing.Snapshot())
+	return r.rc.ReportFailure(r.prog.mod, failing.report.Failure, failing.Snapshot())
 }
 
-// SendSuccess uploads one successful triggered execution.
+// SendSuccess uploads one successful triggered execution. Once the
+// case has its quota, further uploads are accepted and ignored.
 func (r *RemoteDiagnoser) SendSuccess(ok *Execution) error {
-	return r.conn.SendSuccess(ok.Snapshot())
+	return r.rc.SendSuccess(ok.Snapshot())
 }
 
-// Diagnose asks the server for the verdict on what was uploaded.
+// Diagnose asks the server for the verdict on the failure's case.
 func (r *RemoteDiagnoser) Diagnose() (*Report, error) {
-	d, err := r.conn.RequestDiagnosis()
+	d, err := r.rc.Diagnose()
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +359,7 @@ func (r *RemoteDiagnoser) Diagnose() (*Report, error) {
 
 // ServerStatus asks the server for its concurrency and cache state.
 func (r *RemoteDiagnoser) ServerStatus() (ServerStatus, error) {
-	st, err := r.conn.Status()
+	st, err := r.rc.Status()
 	if err != nil {
 		return ServerStatus{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"snorlax/internal/ir"
+	"snorlax/internal/pt"
 )
 
 // Session drives the deployed-system loop of Figure 2 for one
@@ -26,6 +27,9 @@ type Session struct {
 	// SuccessRuns is how many successful traces to gather (default:
 	// Server.MaxSuccessTraces).
 	SuccessRuns int
+
+	// traced is passed to the session's clients (see Client.traced).
+	traced func(*RunReport, pt.Stats)
 }
 
 // NewSession builds a session with the paper's defaults.
@@ -83,7 +87,7 @@ func (s *Session) collect() (failing *RunReport, successes []*RunReport, trigger
 			seeds = append(seeds, i)
 		}
 	}
-	failClient := &Client{Mod: s.FailMod, PT: s.Server.PT}
+	failClient := &Client{Mod: s.FailMod, PT: s.Server.PT, traced: s.traced}
 	for _, seed := range seeds {
 		runs++
 		rep := failClient.Run(seed, ir.NoPC)
@@ -103,7 +107,7 @@ func (s *Session) collect() (failing *RunReport, successes []*RunReport, trigger
 			want = 10
 		}
 	}
-	okClient := &Client{Mod: s.OkMod, PT: s.Server.PT}
+	okClient := &Client{Mod: s.OkMod, PT: s.Server.PT, traced: s.traced}
 	trigger = failing.Failure.PC
 	for seed := int64(1); len(successes) < want && seed <= int64(want*4); seed++ {
 		rep := okClient.Run(seed+1000, trigger)

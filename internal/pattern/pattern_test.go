@@ -62,7 +62,7 @@ func runTraced(t testing.TB, mod *ir.Module, seed int64, trigger ir.PC) (*vm.Res
 	t.Helper()
 	d := pt.NewDriver(pt.Config{})
 	d.TriggerPC = trigger
-	res := vm.Run(mod, vm.Config{Seed: seed, Sink: d, Hook: d})
+	res := vm.Run(mod, vm.Config{Seed: seed, Sink: d.Enc, Hook: d})
 	if res.Failed() {
 		return res, d.FailureSnapshot(res.Time)
 	}

@@ -12,11 +12,15 @@ import (
 // successful executions at the PC where a failure previously occurred
 // (step 8 in Figure 2).
 //
-// Attach the Driver to a vm.Config as both Sink and Hook.
+// Attach d.Enc to a vm.Config as the Sink and d as the Hook. The
+// Driver is a vm.PCHook: the VM calls it only at TriggerPC, and never
+// when no trigger is armed, so, like the hardware watchpoint, it is
+// free until it fires.
 type Driver struct {
 	Enc *Encoder
 	// TriggerPC, when not NoPC, arms a one-shot snapshot taken just
-	// before the instruction at that PC executes.
+	// before the instruction at that PC executes. Set it before the
+	// run starts: the VM reads HookPCs once.
 	TriggerPC ir.PC
 	// TriggerSkip executes the trigger that many times before
 	// snapshotting (0 = first execution).
@@ -27,16 +31,23 @@ type Driver struct {
 	seen      int
 }
 
+var _ vm.PCHook = (*Driver)(nil)
+
 // NewDriver returns a Driver tracing with cfg.
 func NewDriver(cfg Config) *Driver {
 	return &Driver{Enc: NewEncoder(cfg), TriggerPC: ir.NoPC}
 }
 
-// Event implements vm.TraceSink by delegating to the encoder.
-func (d *Driver) Event(ev vm.TraceEvent) int64 { return d.Enc.Event(ev) }
+// HookPCs implements vm.PCHook: the trigger PC, or none when unarmed.
+func (d *Driver) HookPCs() []ir.PC {
+	if d.TriggerPC == ir.NoPC {
+		return nil
+	}
+	return []ir.PC{d.TriggerPC}
+}
 
 // Before implements vm.InstrHook: it fires the armed trigger. It adds
-// no cost — the hardware watchpoint is free until it fires.
+// no cost.
 func (d *Driver) Before(tid int, in ir.Instr, live int, time int64) int64 {
 	if d.triggered || d.TriggerPC == ir.NoPC || in.PC() != d.TriggerPC {
 		return 0

@@ -86,15 +86,24 @@ func (s Stats) TimingFraction() float64 {
 }
 
 // Encoder is the simulated tracer. It implements vm.TraceSink; attach
-// it to a vm.Config to trace an execution.
+// it to a vm.Config to trace an execution. The event path does no map
+// lookup: per-thread state is indexed by tid, and the per-kind packet
+// counts sit in an array that Stats turns into a map.
 type Encoder struct {
-	cfg     Config
-	threads map[int]*threadEnc
-	stats   Stats
+	cfg Config
+	// threads is indexed by tid; nil for a tid with no event yet.
+	threads []*threadEnc
+	// The running Stats: bytes, timing bytes and control events
+	// written, and the packets written per kind.
+	bytes, timingBytes, controlEvents int64
+	packets                           [numKinds]int64
 	// costAccumPS accumulates sub-nanosecond costs.
 	costAccumPS int64
 	scratch     []byte
 }
+
+// numKinds sizes the per-kind packet counts (kinds are 1..KindCYC).
+const numKinds = int(KindCYC) + 1
 
 type threadEnc struct {
 	ring        *ring
@@ -110,19 +119,19 @@ type threadEnc struct {
 
 // NewEncoder returns an Encoder with the given configuration.
 func NewEncoder(cfg Config) *Encoder {
-	return &Encoder{
-		cfg:     cfg.withDefaults(),
-		threads: make(map[int]*threadEnc),
-		stats:   Stats{Packets: make(map[PacketKind]int64)},
-	}
+	return &Encoder{cfg: cfg.withDefaults()}
 }
 
 func (e *Encoder) thread(tid int) *threadEnc {
-	t, ok := e.threads[tid]
-	if !ok {
-		t = &threadEnc{ring: newRing(e.cfg.BufBytes)}
-		e.threads[tid] = t
+	if tid < len(e.threads) {
+		if t := e.threads[tid]; t != nil {
+			return t
+		}
+	} else {
+		e.threads = append(e.threads, make([]*threadEnc, tid+1-len(e.threads))...)
 	}
+	t := &threadEnc{ring: newRing(e.cfg.BufBytes)}
+	e.threads[tid] = t
 	return t
 }
 
@@ -147,7 +156,7 @@ func (e *Encoder) Event(ev vm.TraceEvent) int64 {
 	case vm.EvUncondBranch, vm.EvCall:
 		// Statically inferable: hardware emits nothing.
 		e.thread(ev.Tid).lastPC = ev.From
-		e.stats.ControlEvents++
+		e.controlEvents++
 	case vm.EvIndirectCall, vm.EvRet:
 		t := e.thread(ev.Tid)
 		e.control(t, ev)
@@ -180,7 +189,7 @@ func (e *Encoder) Event(ev vm.TraceEvent) int64 {
 // control emits timing packets for a control event and accounts for
 // PSB periodicity.
 func (e *Encoder) control(t *threadEnc, ev vm.TraceEvent) {
-	e.stats.ControlEvents++
+	e.controlEvents++
 	t.lastPC = ev.From
 	t.lastTime = ev.Time
 	coarse := uint16(uint64(ev.Time/e.cfg.MTCGranularityNS) & 0xffff)
@@ -221,10 +230,10 @@ func (e *Encoder) write(t *threadEnc, kind PacketKind, buf []byte) {
 	t.ring.write(buf)
 	t.bytesSince += len(buf)
 	e.scratch = buf[:0]
-	e.stats.Packets[kind]++
-	e.stats.Bytes += int64(len(buf))
+	e.packets[kind]++
+	e.bytes += int64(len(buf))
 	if kind == KindMTC || kind == KindCYC {
-		e.stats.TimingBytes += int64(len(buf))
+		e.timingBytes += int64(len(buf))
 	}
 	e.costAccumPS += int64(len(buf)) * e.cfg.CostPerBytePS
 }
@@ -238,8 +247,18 @@ func (e *Encoder) chargePS(extra int64) int64 {
 	return ns
 }
 
-// Stats returns encoding statistics so far.
-func (e *Encoder) Stats() Stats { return e.stats }
+// Stats returns encoding statistics so far. Packets holds the kinds
+// written at least once.
+func (e *Encoder) Stats() Stats {
+	st := Stats{Packets: make(map[PacketKind]int64), Bytes: e.bytes,
+		TimingBytes: e.timingBytes, ControlEvents: e.controlEvents}
+	for k, n := range e.packets {
+		if n > 0 {
+			st.Packets[PacketKind(k)] = n
+		}
+	}
+	return st
+}
 
 // Snapshot captures the current ring contents of every traced thread,
 // oldest-first — what the driver saves when a failure occurs or a
@@ -273,6 +292,9 @@ func (s *Snapshot) Tids() []int {
 func (e *Encoder) Snapshot() *Snapshot {
 	out := &Snapshot{Threads: make(map[int]SnapshotThread, len(e.threads))}
 	for tid, t := range e.threads {
+		if t == nil {
+			continue
+		}
 		e.flushTNT(t)
 		data, wrapped := t.ring.snapshot()
 		out.Threads[tid] = SnapshotThread{Data: data, Wrapped: wrapped}

@@ -435,7 +435,7 @@ func TestDriverTrigger(t *testing.T) {
 	d := NewDriver(Config{})
 	d.TriggerPC = unlockPC
 	d.TriggerSkip = 3
-	res := vm.Run(m, vm.Config{Seed: 2, Sink: d, Hook: d})
+	res := vm.Run(m, vm.Config{Seed: 2, Sink: d.Enc, Hook: d})
 	if res.Failed() {
 		t.Fatal(res.Failure)
 	}

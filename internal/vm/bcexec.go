@@ -122,17 +122,12 @@ func (v *VM) runQuantum(t *thread) {
 			// unenforceable order terminates with FailStep instead of
 			// spinning forever.
 			v.steps++
-			t.state = tSleeping
-			t.wakeAt = v.clock + v.cfg.GateBackoffNS
-			v.nSleeping++
+			v.sleep(t, v.clock+v.cfg.GateBackoffNS)
 			return
 		}
-		if v.watchDense != nil && v.watchDense[pc] {
-			v.watch = append(v.watch, WatchEvent{PC: pc, Thread: t.id, Time: v.clock})
-		}
-		if v.cfg.Hook != nil {
-			if cost := v.cfg.Hook.Before(t.id, v.mod.InstrAt(pc), v.liveCount(), v.clock); cost > 0 {
-				v.clock += cost
+		if v.pcFlags != nil {
+			if f := v.pcFlags[pc]; f != 0 {
+				v.before(t.id, pc, f)
 			}
 		}
 		v.steps++
@@ -456,9 +451,7 @@ func (v *VM) runQuantum(t *thread) {
 			if dur < 0 {
 				dur = 0
 			}
-			t.state = tSleeping
-			t.wakeAt = v.clock + dur
-			v.nSleeping++
+			v.sleep(t, v.clock+dur)
 			fr.cip = cip + 3
 			v.pauseThread(t)
 		case bytecode.Assert:
@@ -495,7 +488,7 @@ func (v *VM) runQuantum(t *thread) {
 		if v.steps >= v.cfg.MaxSteps {
 			return
 		}
-		if v.nSleeping > 0 {
+		if v.nSleeping > 0 && v.clock >= v.nextWake {
 			v.wakeSleepers()
 		}
 		if v.clock >= t.quantumEnd {

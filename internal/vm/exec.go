@@ -25,17 +25,12 @@ func (v *VM) step(t *thread) {
 		// unenforceable order terminates with FailStep instead of
 		// spinning forever.
 		v.steps++
-		t.state = tSleeping
-		t.wakeAt = v.clock + v.cfg.GateBackoffNS
-		v.nSleeping++
+		v.sleep(t, v.clock+v.cfg.GateBackoffNS)
 		return
 	}
-	if v.cfg.WatchPCs[pc] {
-		v.watch = append(v.watch, WatchEvent{PC: pc, Thread: t.id, Time: v.clock})
-	}
-	if v.cfg.Hook != nil {
-		if cost := v.cfg.Hook.Before(t.id, in, v.liveCount(), v.clock); cost > 0 {
-			v.clock += cost
+	if v.pcFlags != nil {
+		if f := v.pcFlags[pc]; f != 0 {
+			v.before(t.id, pc, f)
 		}
 	}
 	v.steps++
@@ -324,9 +319,7 @@ func (v *VM) step(t *thread) {
 		if dur < 0 {
 			dur = 0
 		}
-		t.state = tSleeping
-		t.wakeAt = v.clock + dur
-		v.nSleeping++
+		v.sleep(t, v.clock+dur)
 		fr.idx++
 		v.pauseThread(t)
 	case *ir.AssertInstr:
@@ -355,6 +348,12 @@ func (v *VM) eval(fr *frame, val ir.Value) int64 {
 	case *ir.Reg:
 		return fr.regs[x.Index]
 	case *ir.GlobalRef:
+		if v.globalAddr == nil {
+			v.globalAddr = make(map[*ir.Global]int64, len(v.mod.Globals))
+			for i, g := range v.mod.Globals {
+				v.globalAddr[g] = v.globalAddrs[i]
+			}
+		}
 		return v.globalAddr[x.Global]
 	case *ir.FuncRef:
 		return v.encodeFunc(x.Func)

@@ -9,8 +9,13 @@ import "snorlax/internal/ir"
 // code offset; both engines emit the same thread-start event.
 func NewTreeWalk(mod *ir.Module, cfg Config) *VM {
 	v := New(mod, cfg)
-	v.prog, v.watchDense = nil, nil
+	v.prog = nil
 	f := v.threads[0].top()
 	f.code, f.block = nil, f.fn.Entry()
 	return v
 }
+
+// HoldsPooled reports whether v holds run state taken from a pool
+// (the scheduler's generator or the per-PC flag table); only a
+// running VM does.
+func (v *VM) HoldsPooled() bool { return v.rng != nil || v.flagBuf != nil }

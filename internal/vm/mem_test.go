@@ -89,3 +89,55 @@ func TestMemoryStoreLoadProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMemoryHugeAggregateIsSparse: an aggregate of 2^31 words costs
+// only the pages that are stored to. A store near its end allocates
+// one page; loads of untouched words read zero and allocate nothing.
+func TestMemoryHugeAggregateIsSparse(t *testing.T) {
+	m := newMemory()
+	base := m.alloc(1 << 31)
+	last := base + 1<<31 - 1
+	if !m.valid(last) || m.valid(last+1) {
+		t.Fatal("aggregate bounds wrong")
+	}
+	m.store(last-3, 42)
+	if len(m.pages) != 1 {
+		t.Fatalf("store allocated %d pages, want 1", len(m.pages))
+	}
+	if got := m.load(last - 3); got != 42 {
+		t.Errorf("load = %d, want 42", got)
+	}
+	for _, addr := range []int64{base, base + 1<<30, last} {
+		if got := m.load(addr); got != 0 {
+			t.Errorf("untouched word %d = %d, want 0", addr, got)
+		}
+	}
+	if len(m.pages) != 1 {
+		t.Errorf("loads allocated pages: %d, want 1", len(m.pages))
+	}
+}
+
+// TestMemoryPageCacheAcrossPages interleaves accesses to two pages,
+// so each access misses the last-page cache, and to a page that was
+// only loaded from, which must not be cached as existing.
+func TestMemoryPageCacheAcrossPages(t *testing.T) {
+	m := newMemory()
+	base := m.alloc(4 * pageWords)
+	a, b, c := base, base+2*pageWords, base+3*pageWords
+	for i := int64(0); i < 8; i++ {
+		m.store(a+i, i+1)
+		if got := m.load(c + i); got != 0 {
+			t.Fatalf("unstored word = %d", got)
+		}
+		m.store(b+i, -(i + 1))
+	}
+	for i := int64(0); i < 8; i++ {
+		if m.load(a+i) != i+1 || m.load(b+i) != -(i+1) {
+			t.Fatalf("offset %d: got %d, %d", i, m.load(a+i), m.load(b+i))
+		}
+	}
+	m.store(c, 9)
+	if m.load(c) != 9 || m.load(a) != 1 {
+		t.Error("store to a page first only loaded from was lost")
+	}
+}

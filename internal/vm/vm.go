@@ -2,7 +2,9 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 
 	"snorlax/internal/ir"
 	"snorlax/internal/vm/bytecode"
@@ -34,7 +36,8 @@ type Config struct {
 	WatchPCs map[ir.PC]bool
 	// Sink, when non-nil, receives control-flow trace events.
 	Sink TraceSink
-	// Hook, when non-nil, observes every instruction.
+	// Hook, when non-nil, observes instructions before they execute:
+	// every instruction, or only those its HookPCs lists (PCHook).
 	Hook InstrHook
 	// Gate, when non-nil, may defer instructions (replay enforcement).
 	Gate GateHook
@@ -143,7 +146,10 @@ type VM struct {
 	clock   int64
 	rng     *rand.Rand
 	threads []*thread
-	// globalAddr maps each global to its allocated address.
+	// globalAddrs holds the address of each of mod.Globals, in order.
+	globalAddrs []int64
+	// globalAddr maps each global to its address for the
+	// tree-walker's operand evaluation; built on its first use.
 	globalAddr map[*ir.Global]int64
 	// lockWaiters maps mutex address to blocked thread ids.
 	lockWaiters map[int64][]int
@@ -167,9 +173,15 @@ type VM struct {
 	// counts incrementally so the hot loop never scans all threads.
 	nLive     int
 	nSleeping int
-	// watchDense is WatchPCs as a dense PC-indexed slice (bytecode
-	// engine fast path); nil when no PCs are watched.
-	watchDense []bool
+	// nextWake is the earliest wakeAt among sleeping threads, valid
+	// while nSleeping > 0: no sleeper is due before it, so the
+	// per-step wakeup check is one comparison.
+	nextWake int64
+	// pcFlags marks, per PC, what happens before the instruction
+	// there executes (pcWatch, pcHook); nil when nothing does. It is
+	// *flagBuf, taken from flagPool for the run.
+	pcFlags []uint8
+	flagBuf *[]uint8
 	// runnableBuf is scratch storage for the bytecode run loop's
 	// runnable-thread list.
 	runnableBuf []int
@@ -186,29 +198,12 @@ func New(mod *ir.Module, cfg Config) *VM {
 		mod:         mod,
 		cfg:         cfg,
 		mem:         newMemory(),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		globalAddr:  make(map[*ir.Global]int64),
 		lockWaiters: make(map[int64][]int),
 		condWaiters: make(map[int64][]int),
 		lockOwner:   make(map[int64]int),
 		prog:        compiledProgram(mod),
 	}
-	for _, g := range mod.Globals {
-		addr := v.mem.alloc(wordsOf(g.Typ))
-		v.globalAddr[g] = addr
-		if g.Init != nil {
-			v.mem.store(addr, g.Init.Val)
-		}
-	}
-	v.checkGlobals()
-	if len(cfg.WatchPCs) > 0 {
-		v.watchDense = make([]bool, mod.NumInstrs())
-		for pc, on := range cfg.WatchPCs {
-			if on && int(pc) >= 0 && int(pc) < len(v.watchDense) {
-				v.watchDense[pc] = true
-			}
-		}
-	}
+	v.allocGlobals()
 	main := mod.FuncByName("main")
 	if main == nil {
 		panic("vm: module has no main")
@@ -217,14 +212,94 @@ func New(mod *ir.Module, cfg Config) *VM {
 	return v
 }
 
-// checkGlobals asserts that the compiler's precomputed global
+// The per-PC flags of VM.pcFlags.
+const (
+	// pcWatch records a WatchEvent (Config.WatchPCs).
+	pcWatch uint8 = 1 << iota
+	// pcHook calls Config.Hook.
+	pcHook
+)
+
+// flagPool recycles per-PC flag tables across runs.
+var flagPool sync.Pool
+
+// takePCFlags returns a pooled per-PC flag table for the module's n
+// instructions and cfg's watched PCs and hook, or nil when no
+// instruction needs either. A hook without HookPCs is flagged at
+// every PC. PCs outside [0, n) are ignored.
+func takePCFlags(n int, cfg Config) *[]uint8 {
+	var hookPCs []ir.PC
+	hookAll := false
+	if cfg.Hook != nil {
+		if h, ok := cfg.Hook.(PCHook); ok {
+			hookPCs = h.HookPCs()
+		} else {
+			hookAll = true
+		}
+	}
+	if len(cfg.WatchPCs) == 0 && len(hookPCs) == 0 && !hookAll {
+		return nil
+	}
+	buf, _ := flagPool.Get().(*[]uint8)
+	if buf == nil || cap(*buf) < n {
+		buf = new([]uint8)
+		*buf = make([]uint8, n)
+	}
+	flags := (*buf)[:n]
+	clear(flags)
+	*buf = flags
+	if hookAll {
+		for i := range flags {
+			flags[i] = pcHook
+		}
+	}
+	for _, pc := range hookPCs {
+		if int(pc) >= 0 && int(pc) < n {
+			flags[pc] |= pcHook
+		}
+	}
+	for pc, on := range cfg.WatchPCs {
+		if on && int(pc) >= 0 && int(pc) < n {
+			flags[pc] |= pcWatch
+		}
+	}
+	return buf
+}
+
+// before runs what pcFlags asks for ahead of the instruction at pc
+// (f is pcFlags[pc], non-zero): the watch record, then the hook,
+// whose cost is charged to the clock.
+func (v *VM) before(tid int, pc ir.PC, f uint8) {
+	if f&pcWatch != 0 {
+		v.watch = append(v.watch, WatchEvent{PC: pc, Thread: tid, Time: v.clock})
+	}
+	if f&pcHook != 0 {
+		if cost := v.cfg.Hook.Before(tid, v.mod.InstrAt(pc), v.liveCount(), v.clock); cost > 0 {
+			v.clock += cost
+		}
+	}
+}
+
+// randPool recycles the scheduler's generators across runs. Seeding
+// a used generator yields the same sequence as a new one, so a run
+// pays for the seeding but not for allocating math/rand's 4.9 KB of
+// state afresh.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// allocGlobals lays out the module's globals and stores their
+// initializers. It asserts that the compiler's precomputed global
 // addresses agree with the VM's allocator — the invariant that lets
 // compiled code resolve @global operands to pool constants. The two
 // derivations share one formula, so a mismatch is a bug.
-func (v *VM) checkGlobals() {
-	ok := len(v.prog.GlobalAddrs) == len(v.mod.Globals)
+func (v *VM) allocGlobals() {
+	v.globalAddrs = v.prog.GlobalAddrs
+	ok := len(v.globalAddrs) == len(v.mod.Globals)
 	for i, g := range v.mod.Globals {
-		ok = ok && v.globalAddr[g] == v.prog.GlobalAddrs[i]
+		addr := v.mem.alloc(wordsOf(g.Typ))
+		ok = ok && addr == v.globalAddrs[i]
+		if g.Init != nil {
+			v.mem.store(addr, g.Init.Val)
+		}
 	}
 	if !ok {
 		panic("vm: compiled global addresses disagree with the VM's allocation")
@@ -259,11 +334,12 @@ func wordsOf(t ir.Type) int64 {
 
 // GlobalAddr returns the address of a global; it exists for tests.
 func (v *VM) GlobalAddr(name string) int64 {
-	g := v.mod.GlobalByName(name)
-	if g == nil {
-		return 0
+	for i, g := range v.mod.Globals {
+		if g.Name == name {
+			return v.globalAddrs[i]
+		}
 	}
-	return v.globalAddr[g]
+	return 0
 }
 
 // LoadWord reads a word of VM memory; it exists for tests.
@@ -328,10 +404,31 @@ func (v *VM) fail(kind FailureKind, pc ir.PC, tid int, format string, args ...an
 }
 
 // Run executes the program until completion, failure, or step limit.
+// The run's pooled state — the scheduler's generator, seeded with
+// Config.Seed, and the per-PC flag table — is held only while Run
+// runs.
 func (v *VM) Run() *Result {
-	if v.prog != nil {
-		return v.runBytecode()
+	v.rng = randPool.Get().(*rand.Rand)
+	v.rng.Seed(v.cfg.Seed)
+	if v.flagBuf = takePCFlags(v.mod.NumInstrs(), v.cfg); v.flagBuf != nil {
+		v.pcFlags = *v.flagBuf
 	}
+	var res *Result
+	if v.prog != nil {
+		res = v.runBytecode()
+	} else {
+		res = v.runTreeWalk()
+	}
+	randPool.Put(v.rng)
+	if v.flagBuf != nil {
+		flagPool.Put(v.flagBuf)
+	}
+	v.rng, v.pcFlags, v.flagBuf = nil, nil, nil
+	return res
+}
+
+// runTreeWalk is the tree-walking interpreter's run loop.
+func (v *VM) runTreeWalk() *Result {
 	for v.failure == nil {
 		if v.steps >= v.cfg.MaxSteps {
 			pc := ir.NoPC
@@ -368,21 +465,42 @@ func (v *VM) Run() *Result {
 	}
 }
 
+// sleep parks t until the virtual time until.
+func (v *VM) sleep(t *thread, until int64) {
+	t.state = tSleeping
+	t.wakeAt = until
+	if v.nSleeping == 0 || until < v.nextWake {
+		v.nextWake = until
+	}
+	v.nSleeping++
+}
+
+// wakeSleepers resumes every sleeper due at the current clock, in
+// thread order. A wake's trace event may charge sink cost, so a
+// later thread in the scan can come due during it, exactly as the
+// clock dictates.
 func (v *VM) wakeSleepers() {
-	if v.nSleeping == 0 {
+	if v.nSleeping == 0 || v.clock < v.nextWake {
 		return
 	}
+	next := int64(math.MaxInt64)
 	for _, t := range v.threads {
-		if t.state == tSleeping && t.wakeAt <= v.clock {
-			t.state = tRunnable
-			v.nSleeping--
-			// A wake is a resume point even when no thread switch
-			// happens (the sleeper may be the only runnable thread),
-			// so tracers sync here too.
-			v.emit(TraceEvent{Kind: EvContextSwitch, Tid: t.id, Time: t.wakeAt,
-				From: ir.NoPC, To: t.curPC(), Switched: false, Live: v.liveCount()})
+		if t.state != tSleeping {
+			continue
 		}
+		if t.wakeAt > v.clock {
+			next = min(next, t.wakeAt)
+			continue
+		}
+		t.state = tRunnable
+		v.nSleeping--
+		// A wake is a resume point even when no thread switch
+		// happens (the sleeper may be the only runnable thread),
+		// so tracers sync here too.
+		v.emit(TraceEvent{Kind: EvContextSwitch, Tid: t.id, Time: t.wakeAt,
+			From: ir.NoPC, To: t.curPC(), Switched: false, Live: v.liveCount()})
 	}
+	v.nextWake = next
 }
 
 func (v *VM) runnableIDs() []int {
@@ -396,15 +514,7 @@ func (v *VM) runnableIDs() []int {
 }
 
 func (v *VM) earliestWake() (int64, bool) {
-	var best int64
-	found := false
-	for _, t := range v.threads {
-		if t.state == tSleeping && (!found || t.wakeAt < best) {
-			best = t.wakeAt
-			found = true
-		}
-	}
-	return best, found
+	return v.nextWake, v.nSleeping > 0
 }
 
 // schedule decides which thread executes the next instruction,

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — record or compare the gated layer benchmarks (VM
-# execution, one traced run through the PT encoder, wire upload, the
-# root package's success-trace diagnosis and trace decode, the store's
-# WAL append, recovery replay and snapshot, and registration: IR print
-# and parse and proto's RegisterProgram) with a
+# execution, a triggered success run and an untriggered failing run
+# through the PT encoder, wire upload, the root package's
+# success-trace diagnosis and trace decode, the store's WAL append,
+# recovery replay and snapshot, registration: IR print and parse and
+# proto's RegisterProgram, and proto's fleet restore) with a
 # fixed, repeatable discipline (one pattern per package, -count=6,
 # -benchmem), so any two result files are comparable by benchstat or
 # scripts/benchgate.
@@ -19,10 +20,10 @@
 # The perf CI lane records bench-head.txt, renders a benchstat report
 # artifact against the checked-in .github/bench-baseline.txt, and
 # gates with scripts/benchgate (>10% normalized regression at p<0.05
-# fails the lane, the traced run, wire upload, the root, the store and
-# the registration benchmarks included, as does losing the bytecode
-# engine's >=3x speedup or the one-pass printer's >=4x speedup over
-# its fmt-based reference).
+# fails the lane, the traced runs, wire upload, the root, the store,
+# the registration and the restore benchmarks included, as does
+# losing the bytecode engine's >=3x speedup or the one-pass printer's
+# >=4x speedup over its fmt-based reference).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,13 +33,13 @@ COUNT="${BENCH_COUNT:-6}"
 # benchmark gets its own run.
 BENCHES=(
   '^BenchmarkVMExecute$' ./internal/vm
-  '^BenchmarkTracedRun$' ./internal/pt
+  '^BenchmarkTracedRun(Failing)?$' ./internal/pt
   '^BenchmarkWireUpload$' ./internal/shard
   '^BenchmarkDiagnoseManySuccesses$/^serial$' .
   '^BenchmarkTraceDecode$' .
   '^Benchmark(WALAppend|RecoveryReplay|WALSnapshot)$' ./internal/store
   '^Benchmark(Print|Parse)$' ./internal/ir
-  '^BenchmarkRegisterProgram$' ./internal/proto
+  '^Benchmark(RegisterProgram|FleetRestore)$' ./internal/proto
 )
 
 record() {

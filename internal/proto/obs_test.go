@@ -9,6 +9,7 @@ package proto
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http/httptest"
@@ -206,6 +207,35 @@ func TestMetricsConsistencyEndToEnd(t *testing.T) {
 	}
 	if q := gaugeVal(t, reg, core.MetricObserveInflight); q != 0 {
 		t.Errorf("observe inflight = %d after quiesce, want 0", q)
+	}
+	assertStatusMatchesRegistry(t, srv)
+}
+
+// TestCorruptFailingRingFailsDiagnosis pins where a malformed failing
+// ring is caught: ingest is structural, so the report is admitted, and
+// the diagnosis that decodes it fails and is counted as failed.
+func TestCorruptFailingRingFailsDiagnosis(t *testing.T) {
+	failInst, rep, uploads := diagnosisSession(t, "pbzip2-1", 1)
+	addr, srv := startServerHandle(t, failInst.Mod)
+	if _, err := srv.RegisterProgram(failInst.Mod); err != nil {
+		t.Fatal(err)
+	}
+
+	conn := dialSession(t, addr)
+	if _, err := conn.ReportFailure(failInst.Mod, rep.Failure, corruptRing(rep.Snapshot)); err != nil {
+		t.Fatalf("a corrupt failing ring was refused at ingest: %v", err)
+	}
+	if err := conn.SendSuccess(uploads[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, err := conn.Diagnose()
+	var se *ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "decoding failing trace") {
+		t.Fatalf("Diagnose over a corrupt failing ring = %v, want a server error decoding the failing trace", err)
+	}
+	if st := srv.Status(); st.FailedDiagnoses != 1 || st.CompletedDiagnoses != 0 {
+		t.Errorf("FailedDiagnoses = %d, CompletedDiagnoses = %d; want 1 and 0",
+			st.FailedDiagnoses, st.CompletedDiagnoses)
 	}
 	assertStatusMatchesRegistry(t, srv)
 }

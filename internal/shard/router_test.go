@@ -184,6 +184,22 @@ func TestRouterEndToEnd(t *testing.T) {
 	if st.CompletedDiagnoses < 2 {
 		t.Errorf("aggregated CompletedDiagnoses = %d, want >= 2", st.CompletedDiagnoses)
 	}
+	// No shard failed a forward, so the router never asked twice.
+	for _, s := range shards {
+		if n := forwardRetries(t, router.Metrics(), s.member.Name); n != 0 {
+			t.Errorf("%s: %d forward retries on a fault-free run, want 0", s.member.Name, n)
+		}
+	}
+}
+
+// forwardRetries reads the router's retry counter for one shard.
+func forwardRetries(t *testing.T, reg *obs.Registry, shardName string) uint64 {
+	t.Helper()
+	m := reg.Find(shard.MetricRouterRetries, obs.L("shard", shardName))
+	if m == nil {
+		t.Fatalf("%s{shard=%q} not registered", shard.MetricRouterRetries, shardName)
+	}
+	return m.Counter.Value()
 }
 
 func dialConn(t *testing.T, addr string) *proto.Conn {
@@ -344,6 +360,14 @@ func TestRouterFailoverRetries(t *testing.T) {
 	}
 	if inj.Stats().Total() == 0 {
 		t.Error("chaos run fired no faults; the schedule is miswired")
+	}
+	// The faults hit router→shard connections, so forwarding retried.
+	var retries uint64
+	for _, s := range shards {
+		retries += forwardRetries(t, reg, s.member.Name)
+	}
+	if retries == 0 {
+		t.Error("forwarding absorbed the faults, but no shard's retry counter moved")
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // float bits) over the wire package's CRC32C frames. A request travels
 // as one envelope frame — every field except snapshot ring bytes, plus
 // a declared size table per snapshot — followed by bounded chunk
-// frames carrying the rings, so a receiver can stream-decode pt
-// packets (and a router can relay) while the snapshot is still
-// arriving. Responses are always a single frame.
+// frames carrying the rings, so a receiver can assemble the rings
+// (and a router can relay them) while the snapshot is still arriving.
+// Responses are always a single frame.
 
 // Request/Response kind codes. Unknown kinds (client-controlled
 // strings) travel as kindOther plus the literal string, so the
@@ -610,24 +610,12 @@ func (e *RequestEnvelope) DeclaredBytes() int64 {
 	return n
 }
 
-// Assemble consumes the envelope's chunk frames from r, streaming
-// each thread's bytes through the pt packet scanner as they arrive,
-// and fills in Req.Snapshot/Req.Snapshots. It returns the number of
-// pt packets stream-decoded and how many thread streams were
-// malformed (informational — malformed rings are admitted and dealt
-// with by degraded-mode diagnosis).
-//
-// Corroboration batches ("batch" requests) skip the packet scan: their
-// snapshots are hashed and deduplicated on arrival — most are
-// discarded as duplicates or post-quota — and any ring that a case
-// actually uses is fully pt-decoded at diagnosis time. Scanning every
-// upload eagerly would redo that work per arrival on the fleet's
-// hottest path. Structural
-// enforcement — declared sizes, thread accounting, frame checksums —
-// is identical in both modes.
-func (e *RequestEnvelope) Assemble(r *wire.Reader) (packets, scanErrs int, err error) {
+// Assemble consumes the envelope's chunk frames from r and fills in
+// Req.Snapshot/Req.Snapshots. It enforces the message's structure —
+// frame types, declared sizes, thread accounting — and nothing more:
+// a ring's pt packets are parsed once, when a diagnosis decodes it.
+func (e *RequestEnvelope) Assemble(r *wire.Reader) error {
 	snaps := make([]*pt.Snapshot, len(e.metas))
-	scan := e.Req.Kind != "batch"
 	// The chunk frames are one logical byte stream for the whole
 	// message: bytes fill the declared thread sections in order,
 	// crossing thread and snapshot boundaries wherever the encoder's
@@ -647,29 +635,26 @@ func (e *RequestEnvelope) Assemble(r *wire.Reader) (packets, scanErrs int, err e
 		if !m.present {
 			continue
 		}
-		a := pt.NewSnapshotAssemblerUnscanned(m.time)
-		if scan {
-			a = pt.NewSnapshotAssembler(m.time)
-		}
+		a := pt.NewSnapshotAssembler(m.time)
 		if n := m.bytes(); n > 0 {
 			a.UseArena(arena[:n])
 			arena = arena[n:]
 		}
 		for _, th := range m.threads {
 			if err := a.StartThread(th.tid, th.wrapped, int(th.size)); err != nil {
-				return packets, scanErrs, fmt.Errorf("%w: %v", wire.ErrDecode, err)
+				return fmt.Errorf("%w: %v", wire.ErrDecode, err)
 			}
 			for remaining := th.size; remaining > 0; {
 				if len(chunk) == 0 {
 					typ, p, err := r.Next()
 					if err != nil {
-						return packets, scanErrs, err
+						return err
 					}
 					if typ != wire.FrameChunk {
-						return packets, scanErrs, fmt.Errorf("%w: frame type 0x%02x where a chunk was expected", wire.ErrDecode, typ)
+						return fmt.Errorf("%w: frame type 0x%02x where a chunk was expected", wire.ErrDecode, typ)
 					}
 					if len(p) == 0 {
-						return packets, scanErrs, fmt.Errorf("%w: empty chunk frame", wire.ErrDecode)
+						return fmt.Errorf("%w: empty chunk frame", wire.ErrDecode)
 					}
 					chunk = p
 				}
@@ -678,7 +663,7 @@ func (e *RequestEnvelope) Assemble(r *wire.Reader) (packets, scanErrs int, err e
 					n = remaining
 				}
 				if err := a.Feed(chunk[:n]); err != nil {
-					return packets, scanErrs, fmt.Errorf("%w: %v", wire.ErrDecode, err)
+					return fmt.Errorf("%w: %v", wire.ErrDecode, err)
 				}
 				chunk = chunk[n:]
 				remaining -= n
@@ -686,20 +671,18 @@ func (e *RequestEnvelope) Assemble(r *wire.Reader) (packets, scanErrs int, err e
 		}
 		snap, err := a.Finish()
 		if err != nil {
-			return packets, scanErrs, fmt.Errorf("%w: %v", wire.ErrDecode, err)
+			return fmt.Errorf("%w: %v", wire.ErrDecode, err)
 		}
-		packets += a.Packets()
-		scanErrs += a.ScanErrors()
 		snaps[i] = snap
 	}
 	if len(chunk) > 0 {
-		return packets, scanErrs, fmt.Errorf("%w: %d ring bytes past the declared sizes", wire.ErrDecode, len(chunk))
+		return fmt.Errorf("%w: %d ring bytes past the declared sizes", wire.ErrDecode, len(chunk))
 	}
 	e.Req.Snapshot = snaps[0]
 	if !e.snapsNil {
 		e.Req.Snapshots = snaps[1:]
 	}
-	return packets, scanErrs, nil
+	return nil
 }
 
 // --- responses ---

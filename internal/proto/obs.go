@@ -45,14 +45,8 @@ const (
 	MetricFleetLedgerEntries = "snorlax_fleet_ledger_entries"
 
 	// MetricWireFrameErrors counts rejected/failed frames by failure
-	// kind ("header", "payload", "truncated", "frame-limit", "decode",
-	// "pt-scan").
+	// kind ("header", "payload", "truncated", "frame-limit", "decode").
 	MetricWireFrameErrors = "snorlax_wire_frame_errors_total"
-	// MetricWireStreamedPackets counts pt packets decoded while their
-	// snapshot was still arriving (streaming ingest).
-	// Corroboration-batch rings are not counted: they are validated
-	// structurally on arrival and pt-decoded lazily at diagnosis.
-	MetricWireStreamedPackets = "snorlax_wire_streamed_packets_total"
 )
 
 // Frame-error label values.
@@ -62,11 +56,10 @@ const (
 	frameErrTruncated = "truncated"
 	frameErrLimit     = "frame-limit"
 	frameErrDecode    = "decode"
-	frameErrScan      = "pt-scan"
 )
 
 var frameErrorKinds = []string{frameErrHeader, frameErrPayload,
-	frameErrTruncated, frameErrLimit, frameErrDecode, frameErrScan}
+	frameErrTruncated, frameErrLimit, frameErrDecode}
 
 // Help strings of the series both the serving core and the server's
 // status view register (the registry is idempotent; one help text).
@@ -75,7 +68,6 @@ const (
 	helpDeadlineDrops   = "Connections dropped for blowing a read or write deadline."
 	helpOversizeRejects = "Messages and snapshots rejected for exceeding the byte caps."
 	helpPanicsRecovered = "Panics caught in connection handlers and diagnoses."
-	helpFrameErrors     = "Frames rejected or failed, by failure kind."
 )
 
 // requestKinds are the label values per-request metrics are keyed by.
@@ -117,9 +109,6 @@ type protoMetrics struct {
 	fleetQuotaWant *obs.Gauge
 	fleetReports   *obs.Counter
 	fleetLedger    *obs.Gauge
-
-	scanErrors      *obs.Counter
-	streamedPackets *obs.Counter
 }
 
 func newProtoMetrics(reg *obs.Registry) *protoMetrics {
@@ -155,9 +144,6 @@ func newProtoMetrics(reg *obs.Registry) *protoMetrics {
 			"Fleet diagnosis reports published."),
 		fleetLedger: reg.Gauge(MetricFleetLedgerEntries,
 			"Live (client, case) batch-dedup ledger entries."),
-		scanErrors: reg.Counter(MetricWireFrameErrors, helpFrameErrors, obs.L("kind", frameErrScan)),
-		streamedPackets: reg.Counter(MetricWireStreamedPackets,
-			"pt packets decoded while their snapshot was still arriving."),
 	}
 	for _, kind := range requestKinds {
 		m.requests[kind] = requestMetrics{

@@ -96,7 +96,8 @@ func NewConnServer(reg *obs.Registry) *ConnServer {
 		frameErrors: make(map[string]*obs.Counter, len(frameErrorKinds)),
 	}
 	for _, kind := range frameErrorKinds {
-		m.frameErrors[kind] = reg.Counter(MetricWireFrameErrors, helpFrameErrors, obs.L("kind", kind))
+		m.frameErrors[kind] = reg.Counter(MetricWireFrameErrors,
+			"Frames rejected or failed, by failure kind.", obs.L("kind", kind))
 	}
 	return &ConnServer{
 		m:         m,

@@ -21,13 +21,13 @@ import (
 
 // readBinaryRequest reads one complete request — envelope plus chunk
 // frames — the way the serving core and a handler's Assemble do.
-func readBinaryRequest(r *wire.Reader, limit int64) (Request, int, int, error) {
+func readBinaryRequest(r *wire.Reader, limit int64) (Request, error) {
 	env, err := readEnvelope(r, limit)
 	if err != nil {
-		return Request{}, 0, 0, err
+		return Request{}, err
 	}
-	packets, scanErrs, err := env.Assemble(r)
-	return env.Req, packets, scanErrs, err
+	err = env.Assemble(r)
+	return env.Req, err
 }
 
 // TestBinaryRequestRoundTrip pushes every request kind — including
@@ -62,7 +62,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := wire.NewReader(bytes.NewReader(buf.Bytes()), 0)
-		got, _, _, err := readBinaryRequest(r, 0)
+		got, err := readBinaryRequest(r, 0)
 		if err != nil {
 			t.Fatalf("req %d (%s): read: %v", i, req.Kind, err)
 		}
@@ -395,45 +395,5 @@ func TestDefaultJitterSeedsDiverge(t *testing.T) {
 	}
 	if DeriveJitterSeed() == DeriveJitterSeed() {
 		t.Fatal("DeriveJitterSeed returned the same seed twice in a row")
-	}
-}
-
-// TestLazyScanPolicy pins which requests pay the informational pt
-// scan at ingest: diagnosis-bound snapshots (failure reports) are
-// scanned while they arrive; corroboration batches are only validated
-// structurally — their rings get a full pt.Decode at diagnosis time,
-// so an eager scan per upload would be redundant work on the fleet's
-// hottest path.
-func TestLazyScanPolicy(t *testing.T) {
-	fx := newFleetFixture(t, 2)
-	cases := []struct {
-		req     Request
-		scanned bool
-	}{
-		{Request{Kind: "fleet-failure", Tenant: "t", Failure: fx.failing.Failure, Snapshot: fx.failing.Snapshot}, true},
-		{Request{Kind: "batch", Tenant: "t", Case: 7, Client: "a", Seq: 1,
-			Snapshots: fx.okSnaps[:2], RoutePC: fx.failing.Failure.PC}, false},
-	}
-	for _, tc := range cases {
-		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		if err := writeBinaryRequest(w, &tc.req); err != nil {
-			t.Fatalf("%s: write: %v", tc.req.Kind, err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r := wire.NewReader(bytes.NewReader(buf.Bytes()), 0)
-		_, packets, scanErrs, err := readBinaryRequest(r, 0)
-		if err != nil {
-			t.Fatalf("%s: read: %v", tc.req.Kind, err)
-		}
-		if tc.scanned && packets == 0 {
-			t.Errorf("%s: no packets scanned on a diagnosis-bound snapshot", tc.req.Kind)
-		}
-		if !tc.scanned && (packets != 0 || scanErrs != 0) {
-			t.Errorf("%s: batch ingest scanned (packets=%d scanErrs=%d), want lazy",
-				tc.req.Kind, packets, scanErrs)
-		}
 	}
 }

@@ -174,7 +174,7 @@ func (s *Server) Shutdown(ctx context.Context) error { return s.ps.Shutdown(ctx)
 // round trip. It is a view over the same metrics registry the
 // /metrics endpoint serves — the two cannot disagree on a quiesced
 // server.
-func (s *Server) Status() ServerStatus { return publicStatus(s.ps.Status()) }
+func (s *Server) Status() ServerStatus { return s.ps.Status() }
 
 // MetricsMux returns the server's opt-in operational HTTP surface:
 // GET /metrics serves every pipeline, cache and protocol metric in
@@ -220,57 +220,9 @@ func ServeConfigured(ln net.Listener, prog *Program, cfg ServeConfig) error {
 }
 
 // ServerStatus reports a diagnosis server's concurrency, cache, and
-// degradation state, as returned by RemoteDiagnoser.ServerStatus.
-type ServerStatus struct {
-	// OpenConns counts currently connected clients.
-	OpenConns int64
-	// ActiveDiagnoses and QueuedDiagnoses describe the diagnosis
-	// semaphore right now; CompletedDiagnoses and FailedDiagnoses are
-	// cumulative.
-	ActiveDiagnoses    int64
-	QueuedDiagnoses    int64
-	CompletedDiagnoses uint64
-	FailedDiagnoses    uint64
-	// MaxConcurrent and Workers echo the server's effective knobs.
-	MaxConcurrent int
-	Workers       int
-	// CacheHits and CacheMisses count points-to analysis cache
-	// outcomes across all diagnoses.
-	CacheHits, CacheMisses uint64
-	// DiagnoseTime is cumulative wall time spent diagnosing.
-	DiagnoseTime time.Duration
-	// DroppedSuccesses counts undecodable success traces skipped by
-	// degraded-mode diagnosis instead of failing the whole request.
-	DroppedSuccesses uint64
-	// DeadlineDrops counts connections dropped for blowing an idle or
-	// write deadline.
-	DeadlineDrops uint64
-	// OversizeRejects counts uploads rejected for exceeding the
-	// configured byte caps.
-	OversizeRejects uint64
-	// PanicsRecovered counts panics (from poisoned reports or corrupt
-	// traces) caught instead of killing the server.
-	PanicsRecovered uint64
-}
-
-func publicStatus(st proto.ServerStatus) ServerStatus {
-	return ServerStatus{
-		OpenConns:          st.OpenConns,
-		ActiveDiagnoses:    st.ActiveDiagnoses,
-		QueuedDiagnoses:    st.QueuedDiagnoses,
-		CompletedDiagnoses: st.CompletedDiagnoses,
-		FailedDiagnoses:    st.FailedDiagnoses,
-		MaxConcurrent:      st.MaxConcurrent,
-		Workers:            st.Workers,
-		CacheHits:          st.CacheHits,
-		CacheMisses:        st.CacheMisses,
-		DiagnoseTime:       st.DiagnoseTime,
-		DroppedSuccesses:   st.DroppedSuccesses,
-		DeadlineDrops:      st.DeadlineDrops,
-		OversizeRejects:    st.OversizeRejects,
-		PanicsRecovered:    st.PanicsRecovered,
-	}
-}
+// degradation state, as returned by Server.Status and
+// RemoteDiagnoser.ServerStatus.
+type ServerStatus = proto.ServerStatus
 
 // RetryConfig tunes a retrying remote client (see DialRetrying).
 type RetryConfig struct {
@@ -359,9 +311,5 @@ func (r *RemoteDiagnoser) Diagnose() (*Report, error) {
 
 // ServerStatus asks the server for its concurrency and cache state.
 func (r *RemoteDiagnoser) ServerStatus() (ServerStatus, error) {
-	st, err := r.rc.Status()
-	if err != nil {
-		return ServerStatus{}, err
-	}
-	return publicStatus(st), nil
+	return r.rc.Status()
 }

@@ -17,12 +17,12 @@ import (
 // BenchmarkWireUpload measures sustained fleet batch upload throughput
 // through the production topology — agent → router → owning shard —
 // with real traced snapshots: the router relays raw frames and the
-// shard stream-decodes them. Each timed iteration uploads the batch to
-// a case that has already met its quota and closed, so the shard does
-// the complete wire-decode work and then rejects cheaply — the steady
-// state of a fleet at quota, with no memory growth across b.N. The
-// perf lane gates it against the checked-in baseline
-// (scripts/bench.sh, scripts/benchgate).
+// shard assembles them as they stream in. Each timed iteration uploads
+// the batch to a case that has already met its quota and closed, so
+// the shard does the complete wire-decode work and then rejects
+// cheaply — the steady state of a fleet at quota, with no memory
+// growth across b.N. The perf lane gates it against the checked-in
+// baseline (scripts/bench.sh, scripts/benchgate).
 func BenchmarkWireUpload(b *testing.B) {
 	bug := corpus.ByID("pbzip2-1")
 	failInst := bug.Build(corpus.Variant{Failing: true})
